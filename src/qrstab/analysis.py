@@ -16,9 +16,9 @@ import numpy as np
 
 from .code import StabilizerCode
 from .errors import BudgetExhausted, InexactInputs
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Matrix, pack
 from .minweight import (SearchResult, isd_search, low_weight_commuting,
-                        min_weight_affine, min_weight_span, pack_rows)
+                        min_weight_affine, min_weight_span, xor_table)
 from .symplectic import SymplecticVector, to_pauli
 
 EXACT_DDAG_MAX_M = 28        # enumerate 2^m stabilizer elements up to here
@@ -51,73 +51,57 @@ def standard_form(code: StabilizerCode) -> StandardForm:
     (I A1 A2 | B C1 C2 ; 0 0 0 | D I E), then logical operators read off as
     X = (0 E^T I | C2^T 0 0) and Z = (0 0 0 | A2^T 0 I), with all qubit
     swaps undone afterwards.
+
+    The bits never move: ``colperm`` is the logical qubit order.  The X-half
+    pivots are those of H's RREF; each in turn is swapped into the next
+    logical position.  The Z-half pivots come from one more RREF with the
+    X columns first and the Z columns in the logical order the X phase
+    left, and are swapped into place the same way.  That reproduces
+    column-by-column elimination with its swap sequence exactly.
     """
     n = code.n_qubits
     m = code.m
     K = code.k_logical
-    h1 = code.h1.to_dense()
-    h2 = code.h2.to_dense()
     colperm = list(range(n))
 
-    def eliminate(block: np.ndarray, row_start: int, col_start: int) -> int:
-        """Reduce ``block`` (a view-selector: h1 or h2) using row ops applied
-        to both halves and qubit swaps within [col_start, n)."""
-        r = row_start
-        c = col_start
-        while r < m and c < n:
-            nz = np.nonzero(block[r:, c])[0]
-            if nz.size == 0:
-                swap = None
-                for c2 in range(c + 1, n):
-                    if np.nonzero(block[r:, c2])[0].size:
-                        swap = c2
-                        break
-                if swap is None:
-                    break
-                for half in (h1, h2):
-                    half[:, [c, swap]] = half[:, [swap, c]]
-                colperm[c], colperm[swap] = colperm[swap], colperm[c]
-                nz = np.nonzero(block[r:, c])[0]
-            pr = r + int(nz[0])
-            if pr != r:
-                h1[[r, pr]] = h1[[pr, r]]
-                h2[[r, pr]] = h2[[pr, r]]
-            ones = np.nonzero(block[:, c])[0]
-            for o in ones:
-                if o != r:
-                    h1[o] ^= h1[r]
-                    h2[o] ^= h2[r]
-            r += 1
-            c += 1
-        return r
+    def move_to(q: int, c: int) -> None:
+        j = colperm.index(q, c)
+        colperm[c], colperm[j] = colperm[j], colperm[c]
 
-    r = eliminate(h1, 0, 0)
-    r2 = eliminate(h2, r, r)
-    if r2 != m:  # pragma: no cover - impossible for independent rows
+    x_pivots = [c for c in code.h.rref().pivot_cols if c < n]
+    r = len(x_pivots)
+    for c, q in enumerate(x_pivots):
+        move_to(q, c)
+    order = list(range(n)) + [n + q for q in colperm[r:]] + [n + q for q in colperm[:r]]
+    red = code.h.rref(order)
+    z_pivots = [c - n for c in red.pivot_cols[r:]]
+    if len(red.pivot_cols) != m or not set(z_pivots) <= set(colperm[r:]):  # pragma: no cover
         raise ValueError("generator rows were not independent")
+    for c, q in enumerate(z_pivots, start=r):
+        move_to(q, c)
 
-    a2 = h1[:r, m:]
-    c2 = h2[:r, m:]
-    e = h2[r:, m:]
+    dense = red.matrix.to_dense()
+    h1, h2 = dense[:, :n], dense[:, n:]
+    perm = np.asarray(colperm)
+    tail = perm[m:]
     lx_a = np.zeros((K, n), dtype=np.uint8)
     lx_b = np.zeros((K, n), dtype=np.uint8)
     lz_a = np.zeros((K, n), dtype=np.uint8)
     lz_b = np.zeros((K, n), dtype=np.uint8)
     if K:
-        lx_a[:, r:m] = e.T
-        lx_a[:, m:] = np.eye(K, dtype=np.uint8)
-        lx_b[:, :r] = c2.T
-        lz_b[:, :r] = a2.T
-        lz_b[:, m:] = np.eye(K, dtype=np.uint8)
+        lx_a[:, perm[r:m]] = h2[r:][:, tail].T   # E^T
+        lx_a[:, tail] = np.eye(K, dtype=np.uint8)
+        lx_b[:, perm[:r]] = h2[:r][:, tail].T    # C2^T
+        lz_b[:, perm[:r]] = h1[:r][:, tail].T    # A2^T
+        lz_b[:, tail] = np.eye(K, dtype=np.uint8)
 
-    inv = np.argsort(colperm)
     return StandardForm(
-        h1=Gf2Matrix.from_dense(h1[:, inv]),
-        h2=Gf2Matrix.from_dense(h2[:, inv]),
+        h1=Gf2Matrix.from_dense(h1),
+        h2=Gf2Matrix.from_dense(h2),
         x_rank=r,
         column_permutation=tuple(colperm),
-        logical_x=tuple(SymplecticVector(lx_a[i, inv], lx_b[i, inv]) for i in range(K)),
-        logical_z=tuple(SymplecticVector(lz_a[i, inv], lz_b[i, inv]) for i in range(K)),
+        logical_x=tuple(SymplecticVector(lx_a[i], lx_b[i]) for i in range(K)),
+        logical_z=tuple(SymplecticVector(lz_a[i], lz_b[i]) for i in range(K)),
     )
 
 
@@ -152,19 +136,31 @@ def _result_to_value(res: SearchResult, exact: bool) -> DistanceValue:
     return DistanceValue(res.weight, EXACT if exact else UPPER_BOUND, witness)
 
 
+def _lighter_of(res: SearchResult, rows_a: np.ndarray, rows_b: np.ndarray) -> SearchResult:
+    """``res`` or, if strictly lighter, the first lightest of the given rows
+    (each a valid witness), so a bound is never worse than a trivial one."""
+    weights = (rows_a | rows_b).sum(axis=1)
+    i0 = int(np.argmin(weights))
+    if weights[i0] < res.weight:
+        return SearchResult(int(weights[i0]), rows_a[i0], rows_b[i0], exact=False)
+    return res
+
+
 def d_dagger(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
              seed: int = 0, exact_max_m: int = EXACT_DDAG_MAX_M) -> DistanceValue:
     """Minimum weight of a nontrivial stabilizer element.
 
     Exact (full 2^m enumeration) for m <= exact_max_m, otherwise a seeded
-    randomized upper bound over the same row space.
+    randomized upper bound over the same row space, never above the lightest
+    generator.
     """
     ha, hb = _halves_dense(code)
     if code.m <= exact_max_m:
-        res = min_weight_span(pack_rows(ha), pack_rows(hb), code.n_qubits)
+        res = min_weight_span(pack(ha), pack(hb), code.n_qubits)
         return _result_to_value(res, exact=True)
     res = isd_search(ha, hb, code.n_qubits, budget=budget, seed=seed)
-    return _result_to_value(res, exact=False)
+    # a generator is itself a witness
+    return _result_to_value(_lighter_of(res, ha, hb), exact=False)
 
 
 def d_min(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
@@ -176,13 +172,13 @@ def d_min(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
     2^(2K) - 1 nonzero logical combinations, so enumerating coset by coset
     never touches the stabilizer itself.  Exact when 2N - m is at most
     EXACT_DMIN_MAX_DUAL, otherwise a seeded information-set upper bound over
-    the normalizer span with stabilizer members filtered out.
+    the normalizer span with stabilizer members filtered out, never above
+    the lightest standard-form logical.
     """
     if code.trivial:
         raise BudgetExhausted("K = 0: the normalizer equals the stabilizer")
     n = code.n_qubits
     m = code.m
-    K = code.k_logical
     sf = standard_form(code)
     ha, hb = _halves_dense(code)
 
@@ -198,20 +194,10 @@ def d_min(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
     logs_b = np.array([v.b for v in logicals], dtype=np.uint8)
 
     if 2 * n - m <= exact_max_dual:
-        pa, pb = pack_rows(ha), pack_rows(hb)
-        lpa, lpb = pack_rows(logs_a), pack_rows(logs_b)
-        best: SearchResult | None = None
-        for lam in range(1, 1 << (2 * K)):
-            oa = np.zeros(pa.shape[1], dtype=np.uint64)
-            ob = np.zeros(pb.shape[1], dtype=np.uint64)
-            for i in range(2 * K):
-                if (lam >> i) & 1:
-                    oa ^= lpa[i]
-                    ob ^= lpb[i]
-            res = min_weight_affine(pa, pb, oa, ob, n)
-            if best is None or res.weight < best.weight:
-                best = res
-        return _result_to_value(best, exact=True)
+        # coset offsets in lambda order: combination bit i selects logical i
+        offsets_a, offsets_b = xor_table(pack(logs_a))[1:], xor_table(pack(logs_b))[1:]
+        res = min_weight_affine(pack(ha), pack(hb), offsets_a, offsets_b, n)
+        return _result_to_value(res, exact=True)
 
     # bounded mode: search the normalizer span, reject stabilizer members
     norm_a = np.vstack([ha, logs_a])
@@ -223,12 +209,8 @@ def d_min(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
 
     res = isd_search(norm_a, norm_b, n, budget=budget, seed=seed,
                      accept=not_in_stabilizer)
-    if res.weight > n:
-        # fall back to the lightest plain logical representative
-        ws = [(int(((logs_a[i] | logs_b[i]) != 0).sum()), i) for i in range(2 * K)]
-        w0, i0 = min(ws)
-        res = SearchResult(w0, logs_a[i0], logs_b[i0], exact=False)
-    return _result_to_value(res, exact=False)
+    # a standard-form logical is itself a witness
+    return _result_to_value(_lighter_of(res, logs_a, logs_b), exact=False)
 
 
 def classify_degeneracy(ddag: DistanceValue, dmin: DistanceValue) -> bool:

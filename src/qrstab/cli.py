@@ -19,7 +19,8 @@ import argparse
 import sys
 
 from . import alist as alist_mod
-from .analysis import classify_degeneracy, d_dagger, d_min
+from .analysis import (EXACT_DDAG_MAX_M, EXACT_DMIN_MAX_DUAL, classify_degeneracy,
+                       d_dagger, d_min)
 from .bounds import curves_csv, evaluate_bounds
 from .errors import QrstabError
 from .numtheory import classify_prime
@@ -108,20 +109,18 @@ def cmd_build(args) -> int:
     code = _build_code(args)
     ddag = dmin = degenerate = None
     if args.distance != "none" and not code.trivial:
-        exact_dual = 30 if args.distance == "exact" else -1
-        exact_m = 28 if args.distance == "exact" else -1
+        exact_dual = EXACT_DMIN_MAX_DUAL if args.distance == "exact" else -1
+        exact_m = EXACT_DDAG_MAX_M if args.distance == "exact" else -1
         ddag = d_dagger(code, budget=args.budget, seed=args.seed, exact_max_m=exact_m)
         dmin = d_min(code, budget=args.budget, seed=args.seed, exact_max_dual=exact_dual)
         if ddag.is_exact and dmin.is_exact:
             degenerate = classify_degeneracy(ddag, dmin)
-    name = args.name or f"{code.family} p={args.p} {code.params()}"
-    record = make_record(code, name, ddag, dmin, degenerate)
-    if args.fmt == "json":
-        payload = record.to_json()
-    elif args.fmt == "alist":
+    if args.fmt == "alist":
         payload = alist_mod.export_alist(code.h)
-    else:
-        payload = pauli_text(record)
+    else:  # only records carry the standard-form logicals
+        name = args.name or f"{code.family} p={args.p} {code.params()}"
+        record = make_record(code, name, ddag, dmin, degenerate)
+        payload = record.to_json() if args.fmt == "json" else pauli_text(record)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)

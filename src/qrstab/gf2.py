@@ -1,8 +1,11 @@
 """Dense bit-packed GF(2) matrices and circulant constructors.
 
 Rows are stored as little-endian uint64 words, so elimination works a word
-at a time.  Matrices are immutable from the outside: every operation returns
-a fresh instance and never mutates its inputs.
+at a time.  ``row_reduce`` is the one elimination routine: rank, RREF,
+independent rows, row-space membership, the standard form and every
+information-set round run on it.  Matrices are immutable from the outside:
+every operation returns a fresh instance and never mutates its inputs, so
+each matrix caches its RREF.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ def _n_words(cols: int) -> int:
     return (cols + WORD - 1) // WORD
 
 
-def _pack(dense: np.ndarray) -> np.ndarray:
+def pack(dense) -> np.ndarray:
     """(m, n) 0/1 array -> (m, words) uint64, little-endian within rows."""
+    dense = np.atleast_2d(np.asarray(dense, dtype=np.uint8))
     m, n = dense.shape
     padded = np.zeros((m, _n_words(n) * WORD), dtype=np.uint8)
     padded[:, :n] = dense & 1
@@ -29,16 +33,42 @@ def _pack(dense: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64)
 
 
-def _unpack(words: np.ndarray, cols: int) -> np.ndarray:
-    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+def unpack(words: np.ndarray, cols: int) -> np.ndarray:
+    """(m, words) uint64 -> (m, cols) 0/1 uint8; the inverse of ``pack``."""
+    bits = np.unpackbits(np.atleast_2d(words).view(np.uint8), axis=1, bitorder="little")
     return bits[:, :cols].copy()
 
 
-def _lowest_set_bit(words: np.ndarray) -> int | None:
-    for wj, word in enumerate(map(int, words)):
-        if word:
-            return wj * WORD + (word & -word).bit_length() - 1
-    return None
+def row_reduce(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduced row echelon form of packed rows; the one GF(2) elimination.
+
+    Each row in turn takes its lowest set bit as its pivot, and that bit is
+    cleared from every other row.  A row reduced to zero by the pivots
+    before it depends on the rows above it, so the rows that take a pivot
+    are the first-wins independent subset.  Sorting the pivot rows by pivot
+    gives the unique RREF for natural column order.
+
+    Returns the reduced words (pivot rows by increasing pivot, then zero
+    rows), the pivot columns, and the source row of each pivot row.
+    """
+    w = words.copy()
+    pivots = np.full(len(w), -1, dtype=np.int64)
+    for i in range(len(w)):
+        row = w[i]
+        for wj, word in enumerate(row.tolist()):
+            if word:
+                break
+        else:
+            continue
+        bit = (word & -word).bit_length() - 1
+        hits = (w[:, wj] >> np.uint64(bit)) & np.uint64(1)
+        hits[i] = 0
+        w ^= hits[:, None] * row
+        pivots[i] = wj * WORD + bit
+    sources = np.flatnonzero(pivots >= 0)
+    sources = sources[np.argsort(pivots[sources])]
+    order = np.concatenate([sources, np.flatnonzero(pivots < 0)])
+    return w[order], pivots[sources], sources
 
 
 class Gf2Matrix:
@@ -48,19 +78,20 @@ class Gf2Matrix:
     array and trusts that padding bits beyond ``cols`` are zero.
     """
 
-    __slots__ = ("rows", "cols", "_words")
+    __slots__ = ("rows", "cols", "_words", "_rref")
 
     def __init__(self, rows: int, cols: int, words: np.ndarray):
         self.rows = rows
         self.cols = cols
         self._words = words
+        self._rref = None  # RrefResult in natural column order, on demand
 
     # ---------------- constructors ----------------
 
     @classmethod
     def from_dense(cls, dense) -> "Gf2Matrix":
         dense = np.atleast_2d(np.asarray(dense, dtype=np.uint8))
-        return cls(dense.shape[0], dense.shape[1], _pack(dense))
+        return cls(dense.shape[0], dense.shape[1], pack(dense))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Gf2Matrix":
@@ -77,7 +108,7 @@ class Gf2Matrix:
     # ---------------- accessors ----------------
 
     def to_dense(self) -> np.ndarray:
-        return _unpack(self._words, self.cols)
+        return unpack(self._words, self.cols)
 
     def words(self) -> np.ndarray:
         """Packed row words (copy; callers may scribble on it)."""
@@ -147,61 +178,49 @@ class Gf2Matrix:
     def rank(self) -> int:
         return len(self.rref().pivot_cols)
 
-    def rref(self) -> "RrefResult":
+    def rref(self, column_order=None) -> "RrefResult":
         """Reduced row echelon form over GF(2).
 
-        ``independent_rows`` is the first-wins spanning subset: scanning top
-        to bottom, a row is listed iff it is independent of all rows listed
-        before it.
+        Pivots are taken greedily in ``column_order`` (a permutation of the
+        columns; natural order by default), and the reduced matrix keeps the
+        original column positions.  ``independent_rows`` is the first-wins
+        spanning subset: scanning top to bottom, a row is listed iff it is
+        independent of all rows listed before it.  The natural-order result
+        is computed once and cached.
         """
-        w = self._words.copy()
-        m = self.rows
-        r = 0
-        pivot_cols: list[int] = []
-        for c in range(self.cols):
-            if r >= m:
-                break
-            wj, bj = divmod(c, WORD)
-            colbits = (w[r:, wj] >> np.uint64(bj)) & np.uint64(1)
-            nz = np.nonzero(colbits)[0]
-            if nz.size == 0:
-                continue
-            pr = r + int(nz[0])
-            if pr != r:
-                w[[r, pr]] = w[[pr, r]]
-            col_all = (w[:, wj] >> np.uint64(bj)) & np.uint64(1)
-            elim = np.nonzero(col_all)[0]
-            elim = elim[elim != r]
-            if elim.size:
-                w[elim] ^= w[r]
-            pivot_cols.append(c)
-            r += 1
-        return RrefResult(Gf2Matrix(self.rows, self.cols, w),
-                          tuple(pivot_cols), tuple(self.independent_row_subset()))
+        if column_order is None:
+            if self._rref is None:
+                reduced, pivots, sources = row_reduce(self._words)
+                self._rref = RrefResult(Gf2Matrix(self.rows, self.cols, reduced),
+                                        tuple(pivots.tolist()),
+                                        tuple(sorted(sources.tolist())))
+            return self._rref
+        order = np.asarray(column_order, dtype=np.int64)
+        reduced, pivots, sources = row_reduce(pack(self.to_dense()[:, order]))
+        restored = np.empty((self.rows, self.cols), dtype=np.uint8)
+        restored[:, order] = unpack(reduced, self.cols)
+        return RrefResult(Gf2Matrix.from_dense(restored), tuple(order[pivots].tolist()),
+                          tuple(sorted(sources.tolist())))
 
     def independent_row_subset(self) -> list[int]:
         """First-wins independent spanning rows, scanning top to bottom."""
-        basis: list[tuple[int, np.ndarray]] = []  # (pivot col, reduced row)
-        keep: list[int] = []
-        for i in range(self.rows):
-            v = self._words[i].copy()
-            for pc, b in basis:
-                wj, bj = divmod(pc, WORD)
-                if (int(v[wj]) >> bj) & 1:
-                    v ^= b
-            pivot = _lowest_set_bit(v)
-            if pivot is not None:
-                basis.append((pivot, v))
-                keep.append(i)
-        return keep
+        return list(self.rref().independent_rows)
 
     def in_row_space(self, row: "Gf2Matrix") -> bool:
-        """True iff the single-row matrix lies in this matrix's row space."""
+        """True iff every row of ``row`` lies in this matrix's row space.
+
+        A query q is in the row space iff it equals the XOR of the RREF rows
+        at the pivot columns where q has a 1.
+        """
         if row.cols != self.cols:
             raise ShapeMismatch("column counts differ")
-        stacked = Gf2Matrix(self.rows + 1, self.cols,
-                            np.vstack([self._words, row._words]))
-        return stacked.rank() == self.rank()
+        res = self.rref()
+        pivots = np.asarray(res.pivot_cols, dtype=np.int64)
+        basis = res.matrix._words[:len(pivots)]
+        hits = (row._words[:, pivots // WORD] >> (pivots % WORD).astype(np.uint64)) & 1
+        combos = np.bitwise_xor.reduce(
+            np.where(hits[:, :, None].astype(bool), basis[None], np.uint64(0)), axis=1)
+        return bool(np.array_equal(combos, row._words))
 
 
 @dataclass(frozen=True)

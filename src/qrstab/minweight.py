@@ -2,7 +2,7 @@
 
 Two regimes:
 
-* exact enumeration of a whole GF(2) span (or a coset of one) with the
+* exact enumeration of a whole GF(2) span (or cosets of one) with the
   X and Z halves packed into uint64 words, split meet-in-the-middle so the
   inner loop is pure vectorized XOR / OR / popcount;
 * randomized information-set search for spaces too large to enumerate,
@@ -20,21 +20,10 @@ from itertools import product
 
 import numpy as np
 
-WORD = 64
+from .gf2 import WORD, pack, row_reduce, unpack
 
-
-def pack_rows(dense: np.ndarray) -> np.ndarray:
-    """(m, n) 0/1 -> (m, words) uint64 little-endian."""
-    dense = np.atleast_2d(np.asarray(dense, dtype=np.uint8))
-    m, n = dense.shape
-    words = (n + WORD - 1) // WORD
-    padded = np.zeros((m, words * WORD), dtype=np.uint8)
-    padded[:, :n] = dense & 1
-    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
-
-
-def unpack_row(words: np.ndarray, n: int) -> np.ndarray:
-    return np.unpackbits(words.view(np.uint8), bitorder="little")[:n].copy()
+# bit 2q of a word of interleaved (x_q, z_q) columns
+_EVEN_BITS = np.uint64(0x5555_5555_5555_5555)
 
 
 @dataclass
@@ -46,7 +35,7 @@ class SearchResult:
     evaluated: int = 0
 
 
-def _xor_table(rows: np.ndarray) -> np.ndarray:
+def xor_table(rows: np.ndarray) -> np.ndarray:
     """All 2^m XOR combinations of the given packed rows, combo index bit i
     selecting row i."""
     out = np.zeros((1, rows.shape[1]), dtype=np.uint64)
@@ -58,31 +47,39 @@ def _xor_table(rows: np.ndarray) -> np.ndarray:
 def min_weight_affine(pa: np.ndarray, pb: np.ndarray,
                       offset_a: np.ndarray, offset_b: np.ndarray,
                       n_qubits: int, exclude_zero: bool = False,
-                      chunk: int = 1 << 20) -> SearchResult:
-    """Exact minimum symplectic weight over {offset + span(rows)}.
+                      chunk: int = 1 << 16) -> SearchResult:
+    """Exact minimum symplectic weight over the union of the cosets
+    {offset + span(rows)}, one per offset.
 
-    pa, pb: (m, words) packed X/Z halves of the basis rows.  Splits the span
-    in half and scans one side against a table of the other; the inner loop
-    touches ``chunk`` elements per vectorized step.
+    pa, pb: (m, words) packed X/Z halves of the basis rows; offset_a,
+    offset_b: one (words,) offset or a (c, words) stack of them.  Splits the
+    span in half and scans the other half, shifted by each offset in turn,
+    against a table of one half; both tables are built once for all offsets
+    and the inner loop touches ``chunk`` elements per vectorized step.  Ties
+    go to the first offset, then to the first element in scan order.
     """
     m, words = pa.shape
+    offsets_a, offsets_b = np.atleast_2d(offset_a), np.atleast_2d(offset_b)
     t1 = m // 2
-    A1, B1 = _xor_table(pa[:t1]), _xor_table(pb[:t1])
-    A2, B2 = _xor_table(pa[t1:]) ^ offset_a, _xor_table(pb[t1:]) ^ offset_b
+    A1, B1 = xor_table(pa[:t1]), xor_table(pb[:t1])
+    A2, B2 = xor_table(pa[t1:]), xor_table(pb[t1:])
     # uint8 popcounts cap at 64 per word; multi-word sums fit uint32
     sentinel = 255 if words == 1 else (1 << 31) - 1
-    best_w, best_idx = sentinel, None
-    n1 = A1.shape[0]
+    best_w, best_row, best_i1 = sentinel, 0, 0
+    n1, n2 = A1.shape[0], A2.shape[0]
     step = max(1, chunk // n1)
-    for s in range(0, A2.shape[0], step):
+    # scan rows run over (offset, second-half index) pairs, offset-major
+    for s in range(0, len(offsets_a) * n2, step):
+        k, i2 = np.divmod(np.arange(s, min(s + step, len(offsets_a) * n2)), n2)
+        a2, b2 = A2[i2] ^ offsets_a[k], B2[i2] ^ offsets_b[k]
         if words == 1:
-            a = A2[s:s + step, :] ^ A1[None, :, 0]
-            b = B2[s:s + step, :] ^ B1[None, :, 0]
+            a = a2 ^ A1[None, :, 0]
+            b = b2 ^ B1[None, :, 0]
             np.bitwise_or(a, b, out=a)
             w = np.bitwise_count(a)
         else:
-            a = A2[s:s + step, None, :] ^ A1[None, :, :]
-            b = B2[s:s + step, None, :] ^ B1[None, :, :]
+            a = a2[:, None, :] ^ A1[None, :, :]
+            b = b2[:, None, :] ^ B1[None, :, :]
             np.bitwise_or(a, b, out=a)
             w = np.bitwise_count(a).sum(axis=-1, dtype=np.uint32)
         if exclude_zero:
@@ -90,13 +87,12 @@ def min_weight_affine(pa: np.ndarray, pb: np.ndarray,
         idx = np.unravel_index(int(np.argmin(w)), w.shape)
         wm = int(w[idx])
         if wm < best_w:
-            best_w = wm
-            best_idx = (s + idx[0], idx[1])
-    i2, i1 = best_idx
-    va = A2[i2] ^ A1[i1]
-    vb = B2[i2] ^ B1[i1]
-    return SearchResult(best_w, unpack_row(va, n_qubits), unpack_row(vb, n_qubits),
-                        exact=True, evaluated=(1 << m))
+            best_w, best_row, best_i1 = wm, s + int(idx[0]), int(idx[1])
+    k, i2 = divmod(best_row, n2)
+    va = A2[i2] ^ offsets_a[k] ^ A1[best_i1]
+    vb = B2[i2] ^ offsets_b[k] ^ B1[best_i1]
+    return SearchResult(best_w, unpack(va, n_qubits)[0], unpack(vb, n_qubits)[0],
+                        exact=True, evaluated=len(offsets_a) << m)
 
 
 def min_weight_span(pa: np.ndarray, pb: np.ndarray, n_qubits: int) -> SearchResult:
@@ -118,7 +114,7 @@ def low_weight_commuting(ha: np.ndarray, hb: np.ndarray, n_qubits: int,
     """
     if wmax > 2:
         raise ValueError("pre-scan supports weight <= 2")
-    pa, pb = pack_rows(ha), pack_rows(hb)
+    pa, pb = pack(ha), pack(hb)
     words = pa.shape[1]
     patterns = ((1, 0), (0, 1), (1, 1))
 
@@ -151,7 +147,7 @@ def low_weight_commuting(ha: np.ndarray, hb: np.ndarray, n_qubits: int,
                 set_bit(ca, position_axis, xa)
                 set_bit(cb, position_axis, xb)
             for j in survivors(ca, cb):
-                out.append((w, unpack_row(ca[j], n_qubits), unpack_row(cb[j], n_qubits)))
+                out.append((w, unpack(ca[j], n_qubits)[0], unpack(cb[j], n_qubits)[0]))
     out.sort(key=lambda t: t[0])
     return out
 
@@ -159,34 +155,13 @@ def low_weight_commuting(ha: np.ndarray, hb: np.ndarray, n_qubits: int,
 # ---------------- randomized information-set search ----------------
 
 
-def _interleave(basis_a: np.ndarray, basis_b: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Columns reordered as x_q, z_q pairs for the permuted qubit order."""
-    r = basis_a.shape[0]
-    out = np.empty((r, 2 * len(perm)), dtype=np.uint8)
-    out[:, 0::2] = basis_a[:, perm]
-    out[:, 1::2] = basis_b[:, perm]
+def _interleave(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
+    """Columns reordered as x_q, z_q pairs: x_q at column 2q, z_q at 2q + 1."""
+    r, n = basis_a.shape
+    out = np.empty((r, 2 * n), dtype=np.uint8)
+    out[:, 0::2] = basis_a
+    out[:, 1::2] = basis_b
     return out
-
-
-def _eliminate(m: np.ndarray) -> np.ndarray:
-    """In-place row reduction, pivots greedily left to right; returns m."""
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        el = np.nonzero(m[:, c])[0]
-        el = el[el != r]
-        if el.size:
-            m[el] ^= m[r]
-        r += 1
-    return m
 
 
 def isd_search(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
@@ -209,27 +184,27 @@ def isd_search(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
     best = SearchResult(sentinel, np.zeros(n_qubits, np.uint8),
                         np.zeros(n_qubits, np.uint8), exact=False)
     evaluated = 0
-    inv_cache = np.empty(n_qubits, dtype=np.int64)
+    interleaved = _interleave(basis_a, basis_b)
     ii, jj = np.triu_indices(r, 1)
     while evaluated < budget:
         perm = rng.permutation(n_qubits)
-        m = _eliminate(_interleave(basis_a, basis_b, perm))
-        cands = np.vstack([m, m[ii] ^ m[jj]])
-        wa = cands[:, 0::2]
-        wb = cands[:, 1::2]
-        w = (wa | wb).sum(axis=1)
+        cols = np.stack([2 * perm, 2 * perm + 1], axis=1).ravel()  # pairs, permuted
+        reduced = row_reduce(pack(interleaved[:, cols]))[0]
+        cands = np.vstack([reduced, reduced[ii] ^ reduced[jj]])
+        w = np.bitwise_count((cands | cands >> np.uint64(1)) & _EVEN_BITS).sum(axis=1)
         w = np.where(w == 0, sentinel, w)
         evaluated += len(cands)
-        inv_cache[perm] = np.arange(n_qubits)
         for idx in np.argsort(w, kind="stable"):
             wm = int(w[idx])
             if wm >= best.weight:
                 break
-            a = wa[idx][inv_cache]
-            b = wb[idx][inv_cache]
+            bits = unpack(cands[idx], 2 * n_qubits)[0]
+            a = np.empty(n_qubits, dtype=np.uint8)
+            b = np.empty(n_qubits, dtype=np.uint8)
+            a[perm], b[perm] = bits[0::2], bits[1::2]
             if accept is not None and not accept(a, b):
                 continue
-            best = SearchResult(wm, a.copy(), b.copy(), exact=False)
+            best = SearchResult(wm, a, b, exact=False)
             break
         if stop_at is not None and best.weight <= stop_at:
             break

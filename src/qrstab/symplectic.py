@@ -16,6 +16,7 @@ from .errors import InvalidSymbol, LengthMismatch, ShapeMismatch
 from .gf2 import Gf2Matrix
 
 _SYMBOLS = "IXZY"  # index = a + 2b
+_SYMBOL_BYTES = np.frombuffer(_SYMBOLS.encode(), dtype=np.uint8)
 
 # Pauli strings are plain str over the alphabet I, X, Y, Z; from_pauli
 # validates the alphabet and to_pauli produces it.
@@ -66,7 +67,7 @@ def weight(u: SymplecticVector) -> int:
 
 
 def to_pauli(u: SymplecticVector) -> str:
-    return "".join(_SYMBOLS[ai + 2 * bi] for ai, bi in zip(u.a, u.b))
+    return _SYMBOL_BYTES[u.a + 2 * u.b].tobytes().decode()
 
 
 def from_pauli(s: str) -> SymplecticVector:

@@ -10,8 +10,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from qrstab.gf2 import Gf2Matrix
-from qrstab.minweight import pack_rows
+from qrstab.gf2 import Gf2Matrix, pack, unpack
 
 _PATTERNS = ((1, 0), (0, 1), (1, 1))
 
@@ -21,7 +20,7 @@ def commuting_vectors_of_weight(code, w, chunk=2000):
     generator rows."""
     n = code.n_qubits
     dense = code.h.to_dense()
-    pa, pb = pack_rows(dense[:, :n]), pack_rows(dense[:, n:])
+    pa, pb = pack(dense[:, :n]), pack(dense[:, n:])
     words = pa.shape[1]
     pattern_grid = np.array(
         np.meshgrid(*([range(3)] * w), indexing="ij")).reshape(w, -1).T
@@ -52,9 +51,7 @@ def commuting_vectors_of_weight(code, w, chunk=2000):
                    + np.bitwise_count(cb[alive] & pa[i]).sum(axis=1)) & 1
             alive = alive[par == 0]
         for j in alive:
-            a = np.unpackbits(ca[j].view(np.uint8), bitorder="little")[:n]
-            b = np.unpackbits(cb[j].view(np.uint8), bitorder="little")[:n]
-            yield a, b
+            yield unpack(ca[j], n)[0], unpack(cb[j], n)[0]
 
 
 def lightest_logical_weight(code, wmax):

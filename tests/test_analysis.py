@@ -5,7 +5,7 @@ from qrstab.analysis import (DistanceValue, classify_degeneracy, d_dagger,
                              d_min, d_min_oracle, distance_report,
                              standard_form)
 from qrstab.code import StabilizerCode
-from qrstab.errors import BudgetExhausted, InexactInputs
+from qrstab.errors import BudgetExhausted, DependentRows, InexactInputs
 from qrstab.gf2 import Gf2Matrix
 from qrstab.symplectic import (SymplecticVector, from_pauli,
                                symplectic_product, to_pauli)
@@ -77,6 +77,62 @@ def test_standard_form_z_only_row():
     sf = standard_form(code)
     assert sf.x_rank == 0
     assert relations_hold(sf)
+
+
+def reference_swap_sequence(code):
+    """Column-by-column elimination with explicit qubit swaps, on dense
+    arrays: the X half first, then the Z half on the remaining rows."""
+    n, m = code.n_qubits, code.m
+    dense = code.h.to_dense()
+    h1, h2 = dense[:, :n].copy(), dense[:, n:].copy()
+    colperm = list(range(n))
+
+    def eliminate(block, r):
+        c = r
+        while r < m and c < n:
+            live = [c2 for c2 in range(c, n) if block[r:, c2].any()]
+            if not live:
+                break
+            for half in (h1, h2):
+                half[:, [c, live[0]]] = half[:, [live[0], c]]
+            colperm[c], colperm[live[0]] = colperm[live[0]], colperm[c]
+            pr = r + int(np.nonzero(block[r:, c])[0][0])
+            for half in (h1, h2):
+                half[[r, pr]] = half[[pr, r]]
+            for o in np.nonzero(block[:, c])[0]:
+                if o != r:
+                    h1[o] ^= h1[r]
+                    h2[o] ^= h2[r]
+            r += 1
+            c += 1
+        return r
+
+    r = eliminate(h1, 0)
+    assert eliminate(h2, r) == m
+    inv = np.argsort(colperm)
+    return r, tuple(colperm), h1[:, inv], h2[:, inv]
+
+
+def test_standard_form_matches_dense_swap_reference(make_type1, make_qcs):
+    rng = np.random.default_rng(7)
+    codes = [make_type1(p) for p in (5, 7, 13, 23, 29)]
+    codes += [make_qcs(p) for p in (7, 11, 13, 17)]
+    codes.append(StabilizerCode(2, Gf2Matrix.from_dense([[0, 0, 1, 1]]), "manual"))
+    for layout in ("h1-adj2", "adj1-h2", "adj2-h1", "h2-adj1"):
+        for _ in range(6):
+            removal = tuple(sorted(rng.choice(np.arange(1, 22), 5, replace=False).tolist()))
+            try:
+                codes.append(make_qcs(7, layout, removal))
+            except DependentRows:
+                pass
+    assert len(codes) > 20
+    for code in codes:
+        sf = standard_form(code)
+        r, colperm, h1, h2 = reference_swap_sequence(code)
+        assert (sf.x_rank, sf.column_permutation) == (r, colperm)
+        assert np.array_equal(sf.h1.to_dense(), h1)
+        assert np.array_equal(sf.h2.to_dense(), h2)
+        assert relations_hold(sf)
 
 
 def test_standard_form_trivial_code(make_type1):

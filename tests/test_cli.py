@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from qrstab.cli import main
 
@@ -78,6 +81,52 @@ def test_build_alist_and_pauli_formats(tmp_path, capsys):
                      "--format", "pauli")
     assert rc == 0
     assert len(out.strip().split("\n")) == 6
+
+
+# sha256 of the file each build writes; any change to elimination, standard
+# form, record layout or a seeded search shows up here
+GOLDEN_BUILDS = [
+    ("--type 2 --p 23 --variant A --format json",
+     "7f29aa8d001ce435462af7cf4cff7cd38490b99cb7523fe92631ec4e28cbde48"),
+    ("--type 2 --p 23 --variant A --format alist",
+     "932318769f011a3a1adcb9696de5622afc4358a4b4aa7714a89e9306a0b0aa7d"),
+    ("--type 2 --p 23 --variant A --format pauli",
+     "1f54b410afff07614c569c2a9ae79f349d2d2ffeabacc78ac47b1dd6765f2c45"),
+    ("--type 2 --p 29 --variant B --format json",
+     "c8a55a2915b59fef2588182441ec8c34aec0b40332a60c79b2d3b6fa072aa0c1"),
+    ("--type 2 --p 37 --variant B --format json",
+     "5e1fbe18555229aa51f7388f5f1c68a68f11136fdf130d755b4f8fdbafd5026e"),
+    ("--type 1 --p 29 --format json",
+     "36d0259abc5bf8d4d56ef16429e0cf7d2aff3d7c4beaa12ad2eb99baa2bba2c4"),
+    ("--type 1 --p 101 --format json",
+     "1cabc802148224dc47da1d7325aae9d1ef43e7079ba5f23944d362a795369311"),
+    ("--type 2 --p 7 --variant A --layout adj1-h2 --remove 7,11,12,14,15,21 "
+     "--distance exact --format json",
+     "e34d450c1bf80dac325e3bde8cca71655f5e995f72dc09bece100fecd59b153b"),
+    ("--type 1 --p 37 --distance bound --budget 300000 --seed 0 --format json",
+     "4a8f5274774437685d1fe491d928a0f0c9a04331c9b04cdb2682047f51868bd6"),
+    ("--type 1 --p 101 --distance bound --budget 300000 --seed 0 --format json",
+     "96f7242516c42063c59964462b912e711b6ce1245e42a890617a17058a6d35f6"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN_BUILDS, ids=[a for a, _ in GOLDEN_BUILDS])
+def test_build_output_is_unchanged(tmp_path, capsys, args, digest):
+    out_path = tmp_path / "code.out"
+    rc, _, _ = run(capsys, "build", *args.split(), "--out", str(out_path))
+    assert rc == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+def test_build_alist_skips_standard_form(tmp_path, capsys, monkeypatch):
+    def boom(code):
+        raise AssertionError("alist output has no use for the standard form")
+
+    monkeypatch.setattr("qrstab.records.standard_form", boom)
+    monkeypatch.setattr("qrstab.analysis.standard_form", boom)
+    args, digest = GOLDEN_BUILDS[1]
+    assert "--format alist" in args
+    test_build_output_is_unchanged(tmp_path, capsys, args, digest)
 
 
 def test_build_errors_are_reported(capsys):

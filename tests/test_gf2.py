@@ -158,6 +158,25 @@ def test_add_and_integer_product():
     assert np.array_equal(ints, expect)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 130), st.data())
+def test_in_row_space_matches_rank_oracle(m, rank_cap, n, data):
+    # self is a product of random factors, so it is often rank-deficient
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    gen = np.random.default_rng(seed)
+    d = (gen.integers(0, 2, (m, rank_cap)) @ gen.integers(0, 2, (rank_cap, n))) % 2
+    d = d.astype(np.uint8)
+    m_gf2 = Gf2Matrix.from_dense(d)
+    queries = [np.zeros(n, dtype=np.uint8),                     # the zero row
+               gen.integers(0, 2, n, dtype=np.uint8),            # usually outside
+               (gen.integers(0, 2, m) @ d % 2).astype(np.uint8)]  # always inside
+    for q in queries:
+        inside = rank_oracle(np.vstack([d, q])) == rank_oracle(d)
+        assert m_gf2.in_row_space(Gf2Matrix.from_dense(q[None, :])) == inside
+    with pytest.raises(ShapeMismatch):
+        m_gf2.in_row_space(Gf2Matrix.zeros(1, n + 1))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(3, 31).filter(lambda p: p in {3, 5, 7, 11, 13, 17, 19, 23, 29, 31}),
        st.data())
