@@ -69,6 +69,8 @@ def import_alist(text: str) -> Gf2Matrix:
         live = [v for v in vals if v != 0]
         if len(live) != row_weights[i]:
             raise MalformedAlist(f"row weight mismatch (stated {row_weights[i]})", 5 + i)
+        if len(set(live)) != len(live):
+            raise MalformedAlist("repeated column index", 5 + i)
         for v in live:
             if not 1 <= v <= cols:
                 raise MalformedAlist(f"column index {v} out of range", 5 + i)

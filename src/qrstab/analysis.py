@@ -131,6 +131,10 @@ def _halves_dense(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray]:
     return dense[:, :n], dense[:, n:]
 
 
+def _in_stabilizer(code: StabilizerCode, a: np.ndarray, b: np.ndarray) -> bool:
+    return code.h.in_row_space(Gf2Matrix.from_dense(np.concatenate([a, b])[None, :]))
+
+
 def _result_to_value(res: SearchResult, exact: bool) -> DistanceValue:
     witness = to_pauli(SymplecticVector(res.a, res.b))
     return DistanceValue(res.weight, EXACT if exact else UPPER_BOUND, witness)
@@ -179,16 +183,14 @@ def d_min(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
         raise BudgetExhausted("K = 0: the normalizer equals the stabilizer")
     n = code.n_qubits
     m = code.m
-    sf = standard_form(code)
     ha, hb = _halves_dense(code)
 
     # exact pre-scan: if a weight <= 2 commuting non-stabilizer element
     # exists, the distance is settled regardless of the dual-space size
-    for w, a, b in low_weight_commuting(ha, hb, n, wmax=2):
-        row = Gf2Matrix.from_dense(np.concatenate([a, b])[None, :])
-        if not code.h.in_row_space(row):
-            res = SearchResult(w, a, b, exact=True)
-            return _result_to_value(res, exact=True)
+    for w, a, b in low_weight_commuting(ha, hb, n):
+        if not _in_stabilizer(code, a, b):
+            return _result_to_value(SearchResult(w, a, b, exact=True), exact=True)
+    sf = standard_form(code)
     logicals = list(sf.logical_x) + list(sf.logical_z)
     logs_a = np.array([v.a for v in logicals], dtype=np.uint8)
     logs_b = np.array([v.b for v in logicals], dtype=np.uint8)
@@ -204,8 +206,7 @@ def d_min(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
     norm_b = np.vstack([hb, logs_b])
 
     def not_in_stabilizer(a: np.ndarray, b: np.ndarray) -> bool:
-        row = Gf2Matrix.from_dense(np.concatenate([a, b])[None, :])
-        return not code.h.in_row_space(row)
+        return not _in_stabilizer(code, a, b)
 
     res = isd_search(norm_a, norm_b, n, budget=budget, seed=seed,
                      accept=not_in_stabilizer)
@@ -256,7 +257,6 @@ def d_min_oracle(code: StabilizerCode, max_weight: int | None = None) -> int:
                     a[q], b[q] = xa, xb
                 if ((ha @ b + hb @ a) % 2).any():
                     continue
-                row = Gf2Matrix.from_dense(np.concatenate([a, b])[None, :])
-                if not code.h.in_row_space(row):
+                if not _in_stabilizer(code, a, b):
                     return w
     raise BudgetExhausted(f"no normalizer element of weight <= {top}")

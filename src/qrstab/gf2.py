@@ -120,9 +120,6 @@ class Gf2Matrix:
     def row_weights(self) -> np.ndarray:
         return np.bitwise_count(self._words).sum(axis=1).astype(np.int64)
 
-    def column_weights(self) -> np.ndarray:
-        return self.to_dense().sum(axis=0).astype(np.int64)
-
     def is_zero(self) -> bool:
         return not self._words.any()
 
@@ -149,14 +146,13 @@ class Gf2Matrix:
         return Gf2Matrix(self.rows, self.cols, self._words ^ other._words)
 
     def __matmul__(self, other: "Gf2Matrix") -> "Gf2Matrix":
-        """Product over GF(2) via popcount of row/column word intersections."""
+        """Product over GF(2): one float64 product of the dense operands,
+        reduced mod 2.  Every entry is an integer at most the inner dimension,
+        which float64 holds exactly while that dimension is below 2^53."""
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        bt = other.transpose()._words
-        out = np.empty((self.rows, other.cols), dtype=np.uint8)
-        for i in range(self.rows):
-            out[i] = np.bitwise_count(self._words[i] & bt).sum(axis=1) & 1
-        return Gf2Matrix.from_dense(out)
+        prod = self.to_dense().astype(np.float64) @ other.to_dense().astype(np.float64)
+        return Gf2Matrix.from_dense(prod % 2)
 
     def transpose(self) -> "Gf2Matrix":
         return Gf2Matrix.from_dense(self.to_dense().T)

@@ -16,14 +16,15 @@ seeded by the caller; identical seeds give identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .gf2 import WORD, pack, row_reduce, unpack
+from .gf2 import pack, row_reduce, unpack
 
 # bit 2q of a word of interleaved (x_q, z_q) columns
 _EVEN_BITS = np.uint64(0x5555_5555_5555_5555)
+# elements per vectorized step of the exact scan; keeps temporaries in cache
+_CHUNK = 1 << 16
 
 
 @dataclass
@@ -46,8 +47,7 @@ def xor_table(rows: np.ndarray) -> np.ndarray:
 
 def min_weight_affine(pa: np.ndarray, pb: np.ndarray,
                       offset_a: np.ndarray, offset_b: np.ndarray,
-                      n_qubits: int, exclude_zero: bool = False,
-                      chunk: int = 1 << 16) -> SearchResult:
+                      n_qubits: int, exclude_zero: bool = False) -> SearchResult:
     """Exact minimum symplectic weight over the union of the cosets
     {offset + span(rows)}, one per offset.
 
@@ -55,7 +55,7 @@ def min_weight_affine(pa: np.ndarray, pb: np.ndarray,
     offset_b: one (words,) offset or a (c, words) stack of them.  Splits the
     span in half and scans the other half, shifted by each offset in turn,
     against a table of one half; both tables are built once for all offsets
-    and the inner loop touches ``chunk`` elements per vectorized step.  Ties
+    and the inner loop touches ``_CHUNK`` elements per vectorized step.  Ties
     go to the first offset, then to the first element in scan order.
     """
     m, words = pa.shape
@@ -67,7 +67,7 @@ def min_weight_affine(pa: np.ndarray, pb: np.ndarray,
     sentinel = 255 if words == 1 else (1 << 31) - 1
     best_w, best_row, best_i1 = sentinel, 0, 0
     n1, n2 = A1.shape[0], A2.shape[0]
-    step = max(1, chunk // n1)
+    step = max(1, _CHUNK // n1)
     # scan rows run over (offset, second-half index) pairs, offset-major
     for s in range(0, len(offsets_a) * n2, step):
         k, i2 = np.divmod(np.arange(s, min(s + step, len(offsets_a) * n2)), n2)
@@ -102,53 +102,48 @@ def min_weight_span(pa: np.ndarray, pb: np.ndarray, n_qubits: int) -> SearchResu
     return min_weight_affine(pa, pb, zero, zero, n_qubits, exclude_zero=True)
 
 
-def low_weight_commuting(ha: np.ndarray, hb: np.ndarray, n_qubits: int,
-                         wmax: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """All symplectic vectors of weight <= wmax commuting with every row of
-    (ha | hb), in increasing weight order.
+def low_weight_commuting(ha: np.ndarray, hb: np.ndarray,
+                         n_qubits: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """All symplectic vectors of weight 1 or 2 commuting with every row of
+    (ha | hb), ordered by weight, then by Pauli pattern (X < Z < Y, lowest
+    qubit first), then by qubits.
 
     Used as an exact pre-scan: if the lightest of these lies outside the
     stabilizer, the distance is settled without enumerating the dual space.
-    Rows are applied as successive filters so the candidate set collapses
-    after the first one or two rows.
+    The syndrome of X on qubit q is column q of hb, of Z column q of ha, and
+    of Y their XOR.  A weight-1 vector commutes iff its syndrome is zero and
+    a weight-2 vector iff its two syndromes are equal, so the scan groups
+    the 3N packed syndrome columns instead of testing candidates.
     """
-    if wmax > 2:
-        raise ValueError("pre-scan supports weight <= 2")
-    pa, pb = pack(ha), pack(hb)
-    words = pa.shape[1]
-    patterns = ((1, 0), (0, 1), (1, 1))
+    sx, sz = pack(hb.T), pack(ha.T)
+    syndromes = np.vstack([sx, sz, sx ^ sz])  # row k: pattern k // N on qubit k % N
+    pattern, qubit = np.divmod(np.arange(3 * n_qubits), n_qubits)
+    singles = np.flatnonzero(~syndromes.any(axis=1))[:, None]
 
-    def set_bit(arr: np.ndarray, qubits: np.ndarray, on: int) -> None:
-        if on:
-            np.bitwise_or.at(arr, (np.arange(len(arr)), qubits // WORD),
-                             np.uint64(1) << (qubits % WORD).astype(np.uint64))
-
-    def survivors(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
-        alive = np.arange(len(ca))
-        for i in range(pa.shape[0]):
-            if alive.size == 0:
-                break
-            par = (np.bitwise_count(ca[alive] & pb[i]).sum(axis=1)
-                   + np.bitwise_count(cb[alive] & pa[i]).sum(axis=1)) & 1
-            alive = alive[par == 0]
-        return alive
+    # equal syndromes sit next to each other once sorted by group; a pair
+    # d apart in that order exists only while some group has over d members
+    group = np.unique(syndromes, axis=0, return_inverse=True)[1].ravel()
+    order = np.argsort(group, kind="stable")
+    pairs = [np.empty((0, 2), dtype=np.int64)]
+    for d in range(1, len(order)):
+        same = group[order[d:]] == group[order[:-d]]
+        if not same.any():
+            break
+        pairs.append(np.stack([order[:-d][same], order[d:][same]], axis=1))
+    pairs = np.concatenate(pairs)
+    pairs = pairs[qubit[pairs[:, 0]] != qubit[pairs[:, 1]]]
+    pairs = np.take_along_axis(pairs, np.argsort(qubit[pairs], axis=1), axis=1)
+    pat, qs = pattern[pairs], qubit[pairs]
+    pairs = pairs[np.lexsort((qs[:, 1], qs[:, 0], pat[:, 1], pat[:, 0]))]
 
     out = []
-    for w in range(1, wmax + 1):
-        if w == 1:
-            qs = (np.arange(n_qubits),)
-        else:
-            qs = np.triu_indices(n_qubits, 1)
-        count = len(qs[0])
-        for pats in product(patterns, repeat=w):
-            ca = np.zeros((count, words), dtype=np.uint64)
-            cb = np.zeros_like(ca)
-            for position_axis, (xa, xb) in zip(qs, pats):
-                set_bit(ca, position_axis, xa)
-                set_bit(cb, position_axis, xb)
-            for j in survivors(ca, cb):
-                out.append((w, unpack(ca[j], n_qubits)[0], unpack(cb[j], n_qubits)[0]))
-    out.sort(key=lambda t: t[0])
+    for w, ks in ((1, singles), (2, pairs)):
+        rows = np.arange(len(ks))[:, None]
+        a = np.zeros((len(ks), n_qubits), dtype=np.uint8)
+        b = np.zeros_like(a)
+        a[rows, qubit[ks]] = pattern[ks] != 1  # X or Y
+        b[rows, qubit[ks]] = pattern[ks] != 0  # Z or Y
+        out += [(w, a[r], b[r]) for r in range(len(ks))]
     return out
 
 

@@ -11,7 +11,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from .analysis import DistanceValue, StandardForm, standard_form
+from .analysis import DistanceValue, standard_form
 from .code import StabilizerCode
 from .gf2 import Gf2Matrix
 from .symplectic import SymplecticVector, from_pauli, to_pauli
@@ -69,10 +69,8 @@ def _distance_dict(v: DistanceValue | None) -> dict[str, Any] | None:
 def make_record(code: StabilizerCode, name: str,
                 d_dagger: DistanceValue | None = None,
                 d_min: DistanceValue | None = None,
-                degenerate: bool | None = None,
-                sf: StandardForm | None = None) -> CodeRecord:
-    if sf is None:
-        sf = standard_form(code)
+                degenerate: bool | None = None) -> CodeRecord:
+    sf = standard_form(code)
     n = code.n_qubits
     gens = []
     dense = code.h.to_dense()

@@ -87,11 +87,13 @@ def sip_check(h1: Gf2Matrix, h2: Gf2Matrix) -> bool:
     """True iff H1 @ H2.T + H2 @ H1.T = 0 (mod 2), computed exactly.
 
     This is the pairwise-commutation condition on the rows of [H1 | H2].
+    With G = H1 @ H2.T the second term is G.T, so the condition is that G
+    is symmetric.
     """
     if h1.shape != h2.shape:
         raise ShapeMismatch(f"halves differ in shape: {h1.shape} vs {h2.shape}")
-    lhs = (h1 @ h2.transpose()) + (h2 @ h1.transpose())
-    return lhs.is_zero()
+    g = h1 @ h2.transpose()
+    return g == g.transpose()
 
 
 def syndrome(code_h: Gf2Matrix, e: SymplecticVector) -> np.ndarray:

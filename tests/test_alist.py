@@ -67,6 +67,17 @@ def test_malformed_column_inconsistency():
         import_alist("\n".join(lines))
 
 
+def test_malformed_repeated_index():
+    # row 1 states weight 2 but lists column 2 twice
+    with pytest.raises(MalformedAlist) as err:
+        import_alist("2 3\n2 1\n2 1\n0 1 1\n2 2\n3 0\n0\n1\n2\n")
+    assert err.value.line == 5
+    # column 2 lists row 2 twice: not the row lists' column 2
+    with pytest.raises(MalformedAlist) as err:
+        import_alist("2 2\n1 2\n1 1\n1 2\n1\n2\n1 0\n2 2\n")
+    assert err.value.line == 8
+
+
 def test_column_index_out_of_range():
     with pytest.raises(MalformedAlist):
         import_alist("1 2\n1 1\n1\n1 0\n5\n1\n0\n")

@@ -107,6 +107,12 @@ GOLDEN_BUILDS = [
      "4a8f5274774437685d1fe491d928a0f0c9a04331c9b04cdb2682047f51868bd6"),
     ("--type 1 --p 101 --distance bound --budget 300000 --seed 0 --format json",
      "96f7242516c42063c59964462b912e711b6ce1245e42a890617a17058a6d35f6"),
+    # d_min settled by the weight <= 2 pre-scan's witness
+    ("--type 1 --p 23 --distance bound --budget 20000 --format json",
+     "6f52fd760f503ea231cf873ed53316cb8b0fce3699b1342446af52964ae1a934"),
+    # the pre-scan finds nothing; ISD, then the trivial witness
+    ("--type 2 --p 23 --variant A --distance bound --budget 20000 --format json",
+     "c53087eea2b2477df75f9b7bf3b3368947e162b2d3e98748e193805106776773"),
 ]
 
 
