@@ -146,7 +146,7 @@ def _lighter_of(res: SearchResult, rows_a: np.ndarray, rows_b: np.ndarray) -> Se
     weights = (rows_a | rows_b).sum(axis=1)
     i0 = int(np.argmin(weights))
     if weights[i0] < res.weight:
-        return SearchResult(int(weights[i0]), rows_a[i0], rows_b[i0], exact=False)
+        return SearchResult(int(weights[i0]), rows_a[i0], rows_b[i0])
     return res
 
 
@@ -189,7 +189,7 @@ def d_min(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
     # exists, the distance is settled regardless of the dual-space size
     for w, a, b in low_weight_commuting(ha, hb, n):
         if not _in_stabilizer(code, a, b):
-            return _result_to_value(SearchResult(w, a, b, exact=True), exact=True)
+            return _result_to_value(SearchResult(w, a, b), exact=True)
     sf = standard_form(code)
     logicals = list(sf.logical_x) + list(sf.logical_z)
     logs_a = np.array([v.a for v in logicals], dtype=np.uint8)

@@ -267,24 +267,25 @@ def support_poly(modulus: int, exponents) -> SupportPoly:
     return SupportPoly(modulus, frozenset(int(e) % modulus for e in exponents))
 
 
-def cpm(p: int, d: int) -> Gf2Matrix:
-    """Circulant permutation matrix: entry (i, (i + d) mod p) = 1."""
-    d %= p
-    dense = np.zeros((p, p), dtype=np.uint8)
-    rows = np.arange(p)
-    dense[rows, (rows + d) % p] = 1
-    return Gf2Matrix.from_dense(dense)
+def fill_circulant(block: np.ndarray, exponents) -> None:
+    """XOR the circulant permutation matrix of each exponent d, the ones at
+    (i, (i + d) mod p), into the square 0/1 array ``block`` in place."""
+    rows = np.arange(len(block))
+    for d in exponents:
+        block[rows, (rows + d) % len(block)] ^= 1
 
 
 def circulant(poly: SupportPoly) -> Gf2Matrix:
     """Mod-2 sum of cpm(p, e) over the support; each row is the previous
     row shifted right by one."""
-    p = poly.modulus
-    dense = np.zeros((p, p), dtype=np.uint8)
-    rows = np.arange(p)
-    for e in poly.support:
-        dense[rows, (rows + e) % p] ^= 1
+    dense = np.zeros((poly.modulus, poly.modulus), dtype=np.uint8)
+    fill_circulant(dense, poly.support)
     return Gf2Matrix.from_dense(dense)
+
+
+def cpm(p: int, d: int) -> Gf2Matrix:
+    """Circulant permutation matrix: entry (i, (i + d) mod p) = 1."""
+    return circulant(support_poly(p, (d,)))
 
 
 def integer_product_sum(h1: Gf2Matrix, h2: Gf2Matrix) -> np.ndarray:

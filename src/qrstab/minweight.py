@@ -32,7 +32,6 @@ class SearchResult:
     weight: int
     a: np.ndarray  # dense uint8, length N
     b: np.ndarray
-    exact: bool
     evaluated: int = 0
 
 
@@ -92,7 +91,7 @@ def min_weight_affine(pa: np.ndarray, pb: np.ndarray,
     va = A2[i2] ^ offsets_a[k] ^ A1[best_i1]
     vb = B2[i2] ^ offsets_b[k] ^ B1[best_i1]
     return SearchResult(best_w, unpack(va, n_qubits)[0], unpack(vb, n_qubits)[0],
-                        exact=True, evaluated=len(offsets_a) << m)
+                        evaluated=len(offsets_a) << m)
 
 
 def min_weight_span(pa: np.ndarray, pb: np.ndarray, n_qubits: int) -> SearchResult:
@@ -160,8 +159,7 @@ def _interleave(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
 
 
 def isd_search(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
-               budget: int, seed: int, stop_at: int | None = None,
-               accept=None) -> SearchResult:
+               budget: int, seed: int, accept=None) -> SearchResult:
     """Randomized low-weight search over the span of the given basis.
 
     Each round permutes the qubits, row-reduces the basis on interleaved
@@ -177,7 +175,7 @@ def isd_search(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
     r = basis_a.shape[0]
     sentinel = n_qubits + 1
     best = SearchResult(sentinel, np.zeros(n_qubits, np.uint8),
-                        np.zeros(n_qubits, np.uint8), exact=False)
+                        np.zeros(n_qubits, np.uint8))
     evaluated = 0
     interleaved = _interleave(basis_a, basis_b)
     ii, jj = np.triu_indices(r, 1)
@@ -199,9 +197,7 @@ def isd_search(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
             a[perm], b[perm] = bits[0::2], bits[1::2]
             if accept is not None and not accept(a, b):
                 continue
-            best = SearchResult(wm, a, b, exact=False)
-            break
-        if stop_at is not None and best.weight <= stop_at:
+            best = SearchResult(wm, a, b)
             break
     best.evaluated = evaluated
     return best

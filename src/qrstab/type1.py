@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .code import StabilizerCode
-from .errors import DependentRows, RowIndexOutOfRange, SipViolation, UnsupportedForm
+from .code import StabilizerCode, commuting_generators, zero_based_rows
+from .errors import UnsupportedForm
 from .gf2 import SupportPoly, circulant, support_poly
 from .numtheory import Form, QrContext
-from .symplectic import sip_check
 
 
 class Type1Variant(Enum):
@@ -69,27 +68,20 @@ def half_polys(spec: Type1Spec) -> tuple[SupportPoly, SupportPoly]:
     [[13, 1, 5]] logical operators.  Swapping the halves relabels X and Z
     and changes no rank, weight, or distance.
     """
-    idem = idempotents(spec.ctx)
     v = spec.variant
+    form = Form.FOUR_N_PLUS_1 if v is Type1Variant.PLUS_FORM else Form.FOUR_N_MINUS_1
+    if spec.ctx.form is not form:
+        raise UnsupportedForm(f"{v.value} requires p = {form.value}, got p = {spec.ctx.p}")
+    idem = idempotents(spec.ctx)
     if v is Type1Variant.RESIDUE_PAIR:
-        _require(spec, Form.FOUR_N_MINUS_1)
         return idem.residue_complement, idem.residues
     if v is Type1Variant.NONRESIDUE_PAIR:
-        _require(spec, Form.FOUR_N_MINUS_1)
         return idem.nonresidue_complement, idem.nonresidues
-    if spec.ctx.form is not Form.FOUR_N_PLUS_1:
-        raise UnsupportedForm(f"{v.value} requires p = 4n+1, got p = {spec.ctx.p}")
     if spec.ctx.n % 2 == 0 and not spec.force:
         raise UnsupportedForm(
             f"plus-form with even n (p = {spec.ctx.p}) is not established; "
             "set the force option to construct anyway (a SIP check still applies)")
     return idem.nonresidues, idem.residues
-
-
-def _require(spec: Type1Spec, form: Form) -> None:
-    if spec.ctx.form is not form:
-        raise UnsupportedForm(
-            f"{spec.variant.value} requires p = {form.value}, got p = {spec.ctx.p}")
 
 
 def build_type1(spec: Type1Spec) -> StabilizerCode:
@@ -102,21 +94,10 @@ def build_type1(spec: Type1Spec) -> StabilizerCode:
     """
     ctx = spec.ctx
     left, right = half_polys(spec)
-    h1 = circulant(left)
-    h2 = circulant(right)
-    if not sip_check(h1, h2):
-        raise SipViolation(
-            f"type1 {spec.variant.value} halves do not commute for p = {ctx.p}")
-    joint = h1.hstack(h2)
-    if spec.row_subset is not None:
-        rows = _validated_rows(spec.row_subset, ctx.p)
-        sub = joint.take_rows(rows)
-        if sub.rank() != len(rows):
-            raise DependentRows("requested row subset is linearly dependent")
-    else:
-        rows = joint.independent_row_subset()
-        sub = joint.take_rows(rows)
-    code = StabilizerCode(
+    rows = None if spec.row_subset is None else zero_based_rows(spec.row_subset, ctx.p)
+    _, sub, rows = commuting_generators(circulant(left), circulant(right), rows,
+                                        f"type1 {spec.variant.value}, p = {ctx.p}")
+    return StabilizerCode(
         n_qubits=ctx.p,
         h=sub,
         family="type1",
@@ -130,18 +111,6 @@ def build_type1(spec: Type1Spec) -> StabilizerCode:
             "trivial": ctx.p == len(rows),
         },
     )
-    return code
-
-
-def _validated_rows(rows_1based, p: int) -> list[int]:
-    out = []
-    for r in rows_1based:
-        if not 1 <= r <= p:
-            raise RowIndexOutOfRange(f"row {r} outside 1..{p}")
-        out.append(r - 1)
-    if len(set(out)) != len(out):
-        raise RowIndexOutOfRange("duplicate row indices")
-    return out
 
 
 def expected_component_ranks(ctx: QrContext) -> tuple[int, int]:

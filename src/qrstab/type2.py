@@ -23,11 +23,10 @@ from enum import Enum
 
 import numpy as np
 
-from .code import StabilizerCode
-from .errors import (DependentRows, RowIndexOutOfRange, SipViolation, WrongForm)
-from .gf2 import Gf2Matrix
+from .code import StabilizerCode, commuting_generators, zero_based_rows
+from .errors import WrongForm
+from .gf2 import Gf2Matrix, fill_circulant
 from .numtheory import Form, QrContext
-from .symplectic import sip_check
 
 
 class QcsVariant(Enum):
@@ -119,12 +118,9 @@ def lift(proto: ProtoMatrix) -> Gf2Matrix:
     """Expand each exponent set into a sum of circulant permutation blocks."""
     p, k = proto.p, proto.k
     dense = np.zeros((p * k, p * k), dtype=np.uint8)
-    rows = np.arange(p)
     for i in range(k):
         for j in range(k):
-            block = dense[i * p:(i + 1) * p, j * p:(j + 1) * p]
-            for d in proto.cells[i][j]:
-                block[rows, (rows + d) % p] ^= 1
+            fill_circulant(dense[i * p:(i + 1) * p, j * p:(j + 1) * p], proto.cells[i][j])
     return Gf2Matrix.from_dense(dense)
 
 
@@ -195,26 +191,17 @@ def build_qcs(spec: QcsSpec) -> StabilizerCode:
     closed forms describe the plain half, and the joint rank can exceed it.
     """
     ctx = spec.ctx
-    if spec.variant is QcsVariant.A and ctx.form is not Form.FOUR_N_MINUS_1:
-        raise WrongForm(f"variant A requires p = 4n-1, got p = {ctx.p}")
-    if spec.variant is QcsVariant.B and ctx.form is not Form.FOUR_N_PLUS_1:
-        raise WrongForm(f"variant B requires p = 4n+1, got p = {ctx.p}")
     left_proto, right_proto = arrange(spec)
-    left, right = lift(left_proto), lift(right_proto)
-    if not sip_check(left, right):
-        raise SipViolation(f"QCS-{spec.variant.value} halves do not commute for p = {ctx.p}")
     n_rows = ctx.p * ctx.k
-    joint = left.hstack(right)
     removed = (list(spec.removed_rows) if spec.removed_rows is not None
                else default_removal(ctx, spec.variant))
-    keep = _retained_rows(removed, n_rows)
-    sub = joint.take_rows(keep)
-    if sub.rank() != len(keep):
-        raise DependentRows(
-            f"retained rows are dependent after removing {sorted(removed)}")
-    plain_half = left if spec.layout in (Layout.H1_ADJ2, Layout.H2_ADJ1) else right
-    if spec.variant is QcsVariant.B:
-        plain_half = left
+    dropped = set(zero_based_rows(removed, n_rows))
+    left, right = lift(left_proto), lift(right_proto)
+    joint, sub, _ = commuting_generators(
+        left, right, [i for i in range(n_rows) if i not in dropped],
+        f"QCS-{spec.variant.value}, p = {ctx.p}")
+    # the plain half is the one whose cells are still singletons
+    plain_half = left if all(len(c) == 1 for row in left_proto.cells for c in row) else right
     return StabilizerCode(
         n_qubits=n_rows,
         h=sub,
@@ -230,14 +217,3 @@ def build_qcs(spec: QcsSpec) -> StabilizerCode:
             "rank_plain_half": plain_half.rank(),
         },
     )
-
-
-def _retained_rows(removed_1based: list[int], n_rows: int) -> list[int]:
-    seen = set()
-    for r in removed_1based:
-        if not 1 <= r <= n_rows:
-            raise RowIndexOutOfRange(f"row {r} outside 1..{n_rows}")
-        if r in seen:
-            raise RowIndexOutOfRange(f"duplicate removed row {r}")
-        seen.add(r)
-    return [i for i in range(n_rows) if (i + 1) not in seen]

@@ -113,6 +113,21 @@ GOLDEN_BUILDS = [
     # the pre-scan finds nothing; ISD, then the trivial witness
     ("--type 2 --p 23 --variant A --distance bound --budget 20000 --format json",
      "c53087eea2b2477df75f9b7bf3b3368947e162b2d3e98748e193805106776773"),
+    # the other three layouts: which half is plain feeds rank_plain_half
+    ("--type 2 --p 23 --variant A --layout adj2-h1 --format json",
+     "6a6d042a6fe51c4a687b12b09a04dbde00e579f3af95470a20387dd65e16de08"),
+    ("--type 2 --p 23 --variant A --layout h2-adj1 --format json",
+     "d842935baf03d8f82193d718d3281c2f42591d1f80ccc893c9af9a255bc909cd"),
+    ("--type 2 --p 23 --variant A --layout adj1-h2 --format json",
+     "619a73e9ef35d3ea4c373cd67bd833beea659ab89dbd4038bcbdc062d780c5f6"),
+    ("--type 1 --p 23 --variant nonresidue-pair --format json",
+     "f11536d25bf2dec2503b5ab4d1be11b2741efbbb8c2dc2f8dcf59bc4ea4f35c2"),
+    # an explicit row subset, checked for independence by the gate
+    ("--type 1 --p 7 --rows 2,3,5,6 --format json",
+     "47ef6e71cbd09e4f88665418aaee77a2807cfccda47b2c02da50b9eea3881219"),
+    # the forced even-n plus form
+    ("--type 1 --p 17 --force --format json",
+     "207be3686cea759a69f252905e4f1ee9c877b64204b0365f3f237fc20032da27"),
 ]
 
 
