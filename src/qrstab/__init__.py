@@ -6,7 +6,7 @@ dimension, and (where enumerable) minimum distance.
 """
 
 from .analysis import (DistanceReport, DistanceValue, StandardForm,
-                       classify_degeneracy, d_dagger, d_min, d_min_oracle,
+                       classify_degeneracy, d_dagger, d_min,
                        distance_report, standard_form)
 from .alist import export_alist, import_alist
 from .bounds import (BoundsReport, asymptotic_curves, css_gv_rate,
@@ -34,7 +34,7 @@ __all__ = [
     "Type1Variant", "asymptotic_curves", "build_proto_qcs_a",
     "build_proto_qcs_b", "build_qcs", "build_type1", "circulant",
     "classify_degeneracy", "classify_prime", "cpm", "css_gv_rate",
-    "d_dagger", "d_min", "d_min_oracle", "default_removal",
+    "d_dagger", "d_min", "default_removal",
     "distance_report", "evaluate_bounds", "export_alist", "from_pauli",
     "gv_bound", "hamming_bound", "idempotents", "import_alist", "legendre",
     "lift", "make_record", "qr_as_beta_powers", "singleton_bound",

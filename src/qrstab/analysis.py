@@ -135,6 +135,22 @@ def _in_stabilizer(code: StabilizerCode, a: np.ndarray, b: np.ndarray) -> bool:
     return code.h.in_row_space(Gf2Matrix.from_dense(np.concatenate([a, b])[None, :]))
 
 
+def gf4_linear(code: StabilizerCode) -> bool:
+    """True iff the stabilizer is closed under omega: (a | b) -> (b | a ^ b)."""
+    return code.h.in_row_space(code.h2.hstack(code.h1 + code.h2))
+
+
+def _omega_on_lambda(logs_a: np.ndarray, logs_b: np.ndarray) -> np.ndarray:
+    """Entry lam is omega(lam) for an omega-closed stabilizer, bit i of lam
+    selecting row i of the logicals X_1..X_K, Z_1..Z_K.  The X_j bit of
+    omega(L_i) is <omega(L_i), Z_j> and its Z_j bit <omega(L_i), X_j>.
+    As 1 + omega + omega^2 = 0, no nonzero lam is fixed."""
+    k = len(logs_a) // 2
+    wa, wb = logs_b.astype(np.int64), (logs_a ^ logs_b).astype(np.int64)
+    prod = (wa @ logs_b.T + wb @ logs_a.T) % 2   # <omega(L_i), L_j>
+    return xor_table(pack(np.hstack([prod[:, k:], prod[:, :k]])))[:, 0].astype(np.int64)
+
+
 def _result_to_value(res: SearchResult, exact: bool) -> DistanceValue:
     witness = to_pauli(SymplecticVector(res.a, res.b))
     return DistanceValue(res.weight, EXACT if exact else UPPER_BOUND, witness)
@@ -174,10 +190,12 @@ def d_min(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
     The normalizer is the symplectic dual of the row space, of dimension
     2N - m; its elements split into cosets of the stabilizer indexed by the
     2^(2K) - 1 nonzero logical combinations, so enumerating coset by coset
-    never touches the stabilizer itself.  Exact when 2N - m is at most
-    EXACT_DMIN_MAX_DUAL, otherwise a seeded information-set upper bound over
-    the normalizer span with stabilizer members filtered out, never above
-    the lightest standard-form logical.
+    never touches the stabilizer itself.  On a GF(4)-linear stabilizer, omega
+    permutes the cosets in orbits of one minimum weight; only each orbit's
+    least lambda, where the full scan broke ties, is scanned.  Exact when
+    2N - m is at most EXACT_DMIN_MAX_DUAL, otherwise a seeded information-set
+    upper bound over the normalizer span with stabilizer members filtered
+    out, never above the lightest standard-form logical.
     """
     if code.trivial:
         raise BudgetExhausted("K = 0: the normalizer equals the stabilizer")
@@ -190,14 +208,18 @@ def d_min(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
     for w, a, b in low_weight_commuting(ha, hb, n):
         if not _in_stabilizer(code, a, b):
             return _result_to_value(SearchResult(w, a, b), exact=True)
-    sf = standard_form(code)
+    sf = code.standard_form
     logicals = list(sf.logical_x) + list(sf.logical_z)
     logs_a = np.array([v.a for v in logicals], dtype=np.uint8)
     logs_b = np.array([v.b for v in logicals], dtype=np.uint8)
 
     if 2 * n - m <= exact_max_dual:
         # coset offsets in lambda order: combination bit i selects logical i
-        offsets_a, offsets_b = xor_table(pack(logs_a))[1:], xor_table(pack(logs_b))[1:]
+        lams = np.arange(1, 1 << len(logicals))
+        if gf4_linear(code):
+            img = _omega_on_lambda(logs_a, logs_b)
+            lams = lams[(lams < img[lams]) & (lams < img[img[lams]])]
+        offsets_a, offsets_b = xor_table(pack(logs_a))[lams], xor_table(pack(logs_b))[lams]
         res = min_weight_affine(pack(ha), pack(hb), offsets_a, offsets_b, n)
         return _result_to_value(res, exact=True)
 
@@ -205,11 +227,8 @@ def d_min(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
     norm_a = np.vstack([ha, logs_a])
     norm_b = np.vstack([hb, logs_b])
 
-    def not_in_stabilizer(a: np.ndarray, b: np.ndarray) -> bool:
-        return not _in_stabilizer(code, a, b)
-
     res = isd_search(norm_a, norm_b, n, budget=budget, seed=seed,
-                     accept=not_in_stabilizer)
+                     accept=lambda a, b: not _in_stabilizer(code, a, b))
     # a standard-form logical is itself a witness
     return _result_to_value(_lighter_of(res, logs_a, logs_b), exact=False)
 
@@ -231,32 +250,3 @@ def distance_report(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
     degenerate = (classify_degeneracy(ddag, dmin)
                   if ddag.is_exact and dmin.is_exact else None)
     return DistanceReport(ddag, dmin, degenerate, budget, seed)
-
-
-# ---------------- independent small-N oracle ----------------
-
-
-def d_min_oracle(code: StabilizerCode, max_weight: int | None = None) -> int:
-    """Increasing-weight brute force for cross-validation (N <= ~12).
-
-    Enumerates every symplectic vector of weight w = 1, 2, ... and returns
-    the first weight at which some vector commutes with all generators but
-    lies outside the stabilizer row space.
-    """
-    from itertools import combinations, product
-
-    n = code.n_qubits
-    ha, hb = _halves_dense(code)
-    top = max_weight or n
-    for w in range(1, top + 1):
-        for pos in combinations(range(n), w):
-            for pattern in product(((1, 0), (0, 1), (1, 1)), repeat=w):
-                a = np.zeros(n, dtype=np.uint8)
-                b = np.zeros(n, dtype=np.uint8)
-                for q, (xa, xb) in zip(pos, pattern):
-                    a[q], b[q] = xa, xb
-                if ((ha @ b + hb @ a) % 2).any():
-                    continue
-                if not _in_stabilizer(code, a, b):
-                    return w
-    raise BudgetExhausted(f"no normalizer element of weight <= {top}")

@@ -173,7 +173,3 @@ def main(argv=None) -> int:
     except QrstabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

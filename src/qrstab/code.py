@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from .errors import DependentRows, RowIndexOutOfRange, SipViolation
@@ -44,6 +45,12 @@ class StabilizerCode:
     def h2(self) -> Gf2Matrix:
         return self.h.columns(self.n_qubits, 2 * self.n_qubits)
 
+    @cached_property
+    def standard_form(self):
+        """``analysis.standard_form`` of this code, computed on first use."""
+        from .analysis import standard_form
+        return standard_form(self)
+
     @property
     def trivial(self) -> bool:
         """True for K = 0 codes (no logical qubits)."""
@@ -76,7 +83,9 @@ def commuting_generators(h1: Gf2Matrix, h2: Gf2Matrix, rows: list[int] | None,
 
 
 def zero_based_rows(rows_1based, n_rows: int) -> list[int]:
-    """Distinct 1-based row indices of an n_rows-row matrix, as 0-based."""
+    """Distinct 1-based row indices, at least one, of an n_rows-row matrix, as 0-based."""
+    if not rows_1based:
+        raise RowIndexOutOfRange("empty row list")
     bad = [r for r in rows_1based if not 1 <= r <= n_rows]
     if bad:
         raise RowIndexOutOfRange(f"rows {bad} outside 1..{n_rows}")

@@ -11,7 +11,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from .analysis import DistanceValue, standard_form
+from .analysis import DistanceValue
 from .code import StabilizerCode
 from .gf2 import Gf2Matrix
 from .symplectic import SymplecticVector, from_pauli, to_pauli
@@ -70,7 +70,7 @@ def make_record(code: StabilizerCode, name: str,
                 d_dagger: DistanceValue | None = None,
                 d_min: DistanceValue | None = None,
                 degenerate: bool | None = None) -> CodeRecord:
-    sf = standard_form(code)
+    sf = code.standard_form
     n = code.n_qubits
     gens = []
     dense = code.h.to_dense()

@@ -195,7 +195,7 @@ def build_qcs(spec: QcsSpec) -> StabilizerCode:
     n_rows = ctx.p * ctx.k
     removed = (list(spec.removed_rows) if spec.removed_rows is not None
                else default_removal(ctx, spec.variant))
-    dropped = set(zero_based_rows(removed, n_rows))
+    dropped = set(zero_based_rows(removed, n_rows) if removed else ())
     left, right = lift(left_proto), lift(right_proto)
     joint, sub, _ = commuting_generators(
         left, right, [i for i in range(n_rows) if i not in dropped],

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from pauli_scan import certify_distance, lightest_logical_weight
 from qrstab.analysis import (DistanceValue, classify_degeneracy, d_dagger,
-                             d_min, d_min_oracle, distance_report,
-                             standard_form)
+                             d_min, distance_report, gf4_linear, standard_form)
 from qrstab.code import StabilizerCode
 from qrstab.errors import BudgetExhausted, DependentRows, InexactInputs
-from qrstab.gf2 import Gf2Matrix
+from qrstab.gf2 import Gf2Matrix, pack
+from qrstab.minweight import min_weight_affine, xor_table
+from qrstab.numtheory import classify_prime
 from qrstab.symplectic import (SymplecticVector, from_pauli,
                                symplectic_product, to_pauli)
+from qrstab.type1 import Type1Spec, Type1Variant, build_type1
+from qrstab.type2 import QcsSpec, QcsVariant, build_qcs
 
 # Reduced generators and logical operators of the p = 13 plus-form code.
 GENERATORS_13 = [
@@ -191,7 +195,7 @@ def test_paper_style_witness_13(make_type1):
 
 def test_oracle_matches_exact_small(make_type1, make_qcs):
     for code in (make_type1(5), make_type1(7), make_qcs(5)):
-        assert d_min(code).value == d_min_oracle(code)
+        assert d_min(code).value == lightest_logical_weight(code, code.n_qubits)
 
 
 def test_bounded_mode_tagging(make_type1):
@@ -271,3 +275,83 @@ def test_half_rate_71_stabilizer_weight_is_12(make_type1):
     assert int((v.a | v.b).sum()) == 12
     row = Gf2Matrix.from_dense(np.concatenate([v.a, v.b])[None, :])
     assert code.h.in_row_space(row)
+
+
+# ---------------- one coset per omega-orbit on GF(4)-linear codes ----------------
+
+
+def _omega(rows, n):
+    """omega: (a | b) -> (b | a ^ b) on each 2N-bit row."""
+    return np.hstack([rows[:, n:], rows[:, :n] ^ rows[:, n:]])
+
+
+def _gf4_13_3():
+    """The p = 13 code less one (g, omega g) generator pair: an omega-closed
+    [[13,3]] code whose d = 4 the weight <= 2 pre-scan cannot settle."""
+    dense = build_type1(Type1Spec(classify_prime(13), Type1Variant.PLUS_FORM)).h.to_dense()
+    basis = np.zeros((0, 26), dtype=np.uint8)
+    for row in dense:  # a basis of (g, omega g) pairs, first-wins
+        cand = np.vstack([basis, row, _omega(row[None, :], 13)])
+        if Gf2Matrix.from_dense(cand).rank() == len(cand):
+            basis = cand
+    return StabilizerCode(13, Gf2Matrix.from_dense(basis[2:]), family="example")
+
+
+def _codes_for_orbit_scan():
+    yield "t1-5", build_type1(Type1Spec(classify_prime(5), Type1Variant.PLUS_FORM))
+    yield "t1-13", build_type1(Type1Spec(classify_prime(13), Type1Variant.PLUS_FORM))
+    yield "t1-17-forced", build_type1(Type1Spec(classify_prime(17), Type1Variant.PLUS_FORM,
+                                                force=True))
+    yield "gf4-13-3", _gf4_13_3()
+
+
+@pytest.mark.parametrize("p,variant,closed", [
+    (5, "plus-form", True), (13, "plus-form", True), (29, "plus-form", True),
+    # the forced even-n plus form is not: [H; omega H] has rank 2m
+    (17, "plus-form", False),
+    (7, "residue-pair", False), (23, "residue-pair", False),
+    (11, "nonresidue-pair", False),
+])
+def test_gf4_linear_type1(p, variant, closed):
+    code = build_type1(Type1Spec(classify_prime(p), Type1Variant(variant), force=True))
+    assert gf4_linear(code) is closed
+    joint = np.vstack([code.h.to_dense(), _omega(code.h.to_dense(), p)])
+    assert (Gf2Matrix.from_dense(joint).rank() == code.m) is closed
+
+
+@pytest.mark.parametrize("p,variant", [(7, "A"), (13, "B")])
+def test_gf4_linear_qcs(p, variant):
+    assert not gf4_linear(build_qcs(QcsSpec(classify_prime(p), QcsVariant(variant))))
+
+
+@pytest.mark.parametrize("name,code", list(_codes_for_orbit_scan()),
+                         ids=[name for name, _ in _codes_for_orbit_scan()])
+def test_orbit_scan_matches_all_cosets(name, code, monkeypatch):
+    n = code.n_qubits
+    sf = standard_form(code)
+    logs = np.array([np.concatenate([v.a, v.b]) for v in sf.logical_x + sf.logical_z])
+    dense = code.h.to_dense()
+    full = min_weight_affine(pack(dense[:, :n]), pack(dense[:, n:]),
+                             xor_table(pack(logs[:, :n]))[1:],
+                             xor_table(pack(logs[:, n:]))[1:], n)
+    offsets = []
+
+    def spy(pa, pb, oa, ob, n_qubits):
+        offsets.append(len(oa))
+        return min_weight_affine(pa, pb, oa, ob, n_qubits)
+
+    monkeypatch.setattr("qrstab.analysis.min_weight_affine", spy)
+    got = d_min(code)
+    assert got.value == full.weight
+    assert got.witness == to_pauli(SymplecticVector(full.a, full.b))
+    cosets = 4 ** code.k_logical - 1
+    assert offsets == [cosets // 3 if gf4_linear(code) else cosets]
+
+
+def test_gf4_13_3_distance_is_certified():
+    code = _gf4_13_3()
+    assert code.params() == "[[13,3]]" and gf4_linear(code)
+    assert d_min(code).value == 4
+    # nothing commuting and outside the stabilizer below weight 4, so the
+    # weight <= 2 pre-scan cannot settle it
+    assert certify_distance(code, 4)

@@ -128,6 +128,11 @@ GOLDEN_BUILDS = [
     # the forced even-n plus form
     ("--type 1 --p 17 --force --format json",
      "207be3686cea759a69f252905e4f1ee9c877b64204b0365f3f237fc20032da27"),
+    # exact d_min witnesses of GF(4)-linear codes, found by the all-cosets scan
+    ("--type 1 --p 29 --distance exact --format json",
+     "13fc49cba56a6548d7a75c89e4919152d0a6d63294216c5b6787e181ed7c4701"),
+    ("--type 1 --p 13 --distance exact --format json",
+     "33dba72eebfa945df97958abe837fb224113d03c00f050949e3fc5c49352c968"),
 ]
 
 
@@ -143,11 +148,42 @@ def test_build_alist_skips_standard_form(tmp_path, capsys, monkeypatch):
     def boom(code):
         raise AssertionError("alist output has no use for the standard form")
 
-    monkeypatch.setattr("qrstab.records.standard_form", boom)
+    # every standard form, cached on the code or not, is computed here
     monkeypatch.setattr("qrstab.analysis.standard_form", boom)
     args, digest = GOLDEN_BUILDS[1]
     assert "--format alist" in args
     test_build_output_is_unchanged(tmp_path, capsys, args, digest)
+
+
+def test_build_computes_standard_form_once(capsys, monkeypatch):
+    from qrstab.gf2 import Gf2Matrix
+
+    # the standard form is the only caller that reorders columns for an RREF
+    reorders = []
+    rref = Gf2Matrix.rref
+    monkeypatch.setattr(Gf2Matrix, "rref", lambda self, column_order=None: (
+        reorders.append(column_order is not None) or rref(self, column_order)))
+    rc, out, _ = run(capsys, "build", "--type", "1", "--p", "37", "--distance", "bound",
+                     "--budget", "20000", "--format", "json")
+    assert rc == 0 and json.loads(out)["logical_x"]
+    assert sum(reorders) == 1
+
+
+def test_build_rejects_empty_row_list(capsys):
+    rc, out, err = run(capsys, "build", "--type", "1", "--p", "7", "--rows", ",")
+    assert rc == 2 and out == ""
+    assert "RowIndexOutOfRange" in err
+
+
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
+    import runpy
+    import sys
+
+    monkeypatch.setattr(sys, "argv", ["qrstab", "qrset", "7"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("qrstab", run_name="__main__")
+    assert exc.value.code == 0
+    assert "QR: 1 2 4" in capsys.readouterr().out
 
 
 def test_build_errors_are_reported(capsys):
