@@ -14,8 +14,7 @@ from .bounds import (BoundsReport, asymptotic_curves, css_gv_rate,
 from .code import StabilizerCode
 from .errors import QrstabError
 from .gf2 import Gf2Matrix, SupportPoly, circulant, cpm, support_poly
-from .numtheory import (Form, QrContext, classify_prime, legendre,
-                        qr_as_beta_powers)
+from .numtheory import Form, QrContext, classify_prime, legendre
 from .records import CodeRecord, make_record
 from .symplectic import (PauliString, SymplecticVector, from_pauli, sip_check,
                          symplectic_product, syndrome, to_pauli, weight)
@@ -37,7 +36,7 @@ __all__ = [
     "d_dagger", "d_min", "default_removal",
     "distance_report", "evaluate_bounds", "export_alist", "from_pauli",
     "gv_bound", "hamming_bound", "idempotents", "import_alist", "legendre",
-    "lift", "make_record", "qr_as_beta_powers", "singleton_bound",
+    "lift", "make_record", "singleton_bound",
     "sip_check", "standard_form", "support_poly", "symplectic_product",
     "syndrome", "to_pauli", "weight",
 ]

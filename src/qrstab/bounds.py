@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import InvalidParameters
+
 LOG2_3 = math.log2(3.0)
 _RATE_TOL = 1e-12
 
@@ -85,7 +87,7 @@ _CURVES = (
 def asymptotic_curves(resolution: int) -> list[tuple[str, float, float]]:
     """Sampled (bound_name, delta_q, rate) rows over delta_q in [0, 0.5]."""
     if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+        raise InvalidParameters(f"resolution must be at least 2, got {resolution}")
     rows = []
     for name, fn in _CURVES:
         for i in range(resolution):
@@ -117,6 +119,8 @@ class BoundsReport:
 
 
 def evaluate_bounds(n_qubits: int, k: int, d: int) -> BoundsReport:
+    if not (n_qubits >= 1 and 0 <= k <= n_qubits and d >= 1):
+        raise InvalidParameters(f"[[{n_qubits},{k},{d}]] needs N >= 1, 0 <= K <= N, d >= 1")
     h_ok, h_tight = hamming_bound(n_qubits, k, d)
     s_ok, s_tight = singleton_bound(n_qubits, k, d)
     delta = correctable_errors(d) / n_qubits

@@ -91,6 +91,9 @@ def cmd_qrset(args) -> int:
 
 def _build_code(args):
     ctx = classify_prime(args.p)
+    valid = [v.value for v in (Type1Variant if args.code_type == 1 else QcsVariant)]
+    if args.variant and args.variant not in valid:
+        raise QrstabError(f"--type {args.code_type} variants are {', '.join(valid)}")
     if args.code_type == 1:
         if args.remove:
             raise QrstabError("--remove applies to --type 2 only (use --rows)")
@@ -143,7 +146,9 @@ def cmd_tables(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.check:
+    if args.check is not None:
+        if len(args.check) != 3:
+            raise QrstabError("--check takes three numbers N,K,D")
         n, k, d = args.check
         rep = evaluate_bounds(n, k, d)
         print(f"[[{n},{k},{d}]]: t = {rep.t}")

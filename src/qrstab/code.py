@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
 
-from .errors import DependentRows, RowIndexOutOfRange, SipViolation
+from .errors import DependentRows, RowIndexOutOfRange, ShapeMismatch, SipViolation
 from .gf2 import Gf2Matrix
 from .symplectic import sip_check
 
@@ -27,7 +27,7 @@ class StabilizerCode:
 
     def __post_init__(self):
         if self.h.cols != 2 * self.n_qubits:
-            raise ValueError("H must have 2N columns")
+            raise ShapeMismatch("H must have 2N columns")
 
     @property
     def m(self) -> int:
@@ -65,21 +65,20 @@ class StabilizerCode:
 
 
 def commuting_generators(h1: Gf2Matrix, h2: Gf2Matrix, rows: list[int] | None,
-                         what: str) -> tuple[Gf2Matrix, Gf2Matrix, list[int]]:
+                         what: str) -> tuple[Gf2Matrix, list[int]]:
     """Check that the full halves commute (SIP), then keep rows of [h1 | h2]:
     the given 0-based ``rows``, which must be independent, or else the
-    first-wins independent subset.  Returns [h1 | h2], the kept rows and
-    their indices."""
+    first-wins independent subset.  Returns the kept rows and their indices."""
     if not sip_check(h1, h2):
         raise SipViolation(f"{what}: halves do not commute")
     joint = h1.hstack(h2)
     if rows is None:
         rows = joint.independent_row_subset()
-        return joint, joint.take_rows(rows), rows
+        return joint.take_rows(rows), rows
     sub = joint.take_rows(rows)
     if sub.rank() != len(rows):
         raise DependentRows(f"{what}: {len(rows)} rows of rank {sub.rank()}")
-    return joint, sub, rows
+    return sub, rows
 
 
 def zero_based_rows(rows_1based, n_rows: int) -> list[int]:

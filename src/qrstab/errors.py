@@ -21,6 +21,10 @@ class WrongForm(UnsupportedForm):
     """A quasi-cyclic builder was given a context of the wrong prime form."""
 
 
+class InvalidParameters(QrstabError):
+    """Code parameters or a curve resolution lie outside their valid range."""
+
+
 class LengthMismatch(QrstabError):
     """Two operators act on different numbers of qubits."""
 

@@ -17,40 +17,12 @@ from .errors import NotPrime, UnsupportedModulus
 
 _MAX_MODULUS = 1 << 31
 
-# Witnesses making Miller-Rabin deterministic for all n < 3.3e24; far more
-# than needed below 2**31.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 class Form(Enum):
     """Residue class of p mod 4, written as 4n - 1 or 4n + 1."""
 
     FOUR_N_MINUS_1 = "4n-1"
     FOUR_N_PLUS_1 = "4n+1"
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 2**31."""
-    if n < 2:
-        return False
-    for w in _MR_WITNESSES:
-        if n % w == 0:
-            return n == w
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for w in _MR_WITNESSES:
-        x = pow(w, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _factor(n: int) -> list[int]:
@@ -66,6 +38,11 @@ def _factor(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def is_prime(n: int) -> bool:
+    """True iff n is its own only prime factor."""
+    return n >= 2 and _factor(n) == [n]
 
 
 def smallest_primitive_root(p: int) -> int:
@@ -144,8 +121,3 @@ def legendre(a: int, ctx: QrContext) -> int:
     if a == 0:
         return 0
     return 1 if a in set(ctx.qr) else -1
-
-
-def qr_as_beta_powers(ctx: QrContext) -> list[int]:
-    """The residue set listed in generator order: [beta, beta**2, ..., beta**k]."""
-    return list(ctx.beta_powers)

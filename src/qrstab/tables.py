@@ -143,7 +143,14 @@ def _check(diffs, row, field, got, expected, kind="exact"):
     ok = got == expected if kind == "exact" else got <= expected
     if not ok:
         diffs.append(CellDiff(row, field, got, expected, kind))
-    return ok
+
+
+def _check_distance(diffs, row, field, dist, expected):
+    """A distance cell, checked as its tag says: exact, or an upper bound."""
+    if dist.is_exact:
+        _check(diffs, row, field, dist.value, expected)
+    else:
+        _check(diffs, row, f"{field}(bound)", dist.value, expected, kind="upper_bound")
 
 
 def _thresholds(level: str) -> tuple[int, int]:
@@ -164,16 +171,10 @@ def check_table_1(level: str = "full", budget: int = 2_000_000,
         _check(diffs, row, "N", code.n_qubits, N)
         _check(diffs, row, "K", code.k_logical, K)
         _check(diffs, row, "rank", code.m, N - K)
-        dm = d_min(code, budget=budget, seed=seed, exact_max_dual=dual_max)
-        dd = d_dagger(code, budget=budget, seed=seed, exact_max_m=m_max)
-        if dm.is_exact:
-            _check(diffs, row, "d_min", dm.value, dmin_tab)
-        else:
-            _check(diffs, row, "d_min(bound)", dm.value, dmin_tab, kind="upper_bound")
-        if dd.is_exact:
-            _check(diffs, row, "d_dagger", dd.value, ddag_tab)
-        else:
-            _check(diffs, row, "d_dagger(bound)", dd.value, ddag_tab, kind="upper_bound")
+        _check_distance(diffs, row, "d_min", d_min(
+            code, budget=budget, seed=seed, exact_max_dual=dual_max), dmin_tab)
+        _check_distance(diffs, row, "d_dagger", d_dagger(
+            code, budget=budget, seed=seed, exact_max_m=m_max), ddag_tab)
     return diffs
 
 
@@ -187,13 +188,9 @@ def check_table_2(level: str = "full", budget: int = 2_000_000,
         row = f"[[{N},{K},{dmin_tab}]]"
         _check(diffs, row, "N", code.n_qubits, N)
         _check(diffs, row, "K", code.k_logical, K)
-        dm = d_min(code, budget=budget, seed=seed)
-        _check(diffs, row, "d_min", dm.value, dmin_tab)  # exact via pre-scan
-        dd = d_dagger(code, budget=budget, seed=seed, exact_max_m=m_max)
-        if dd.is_exact:
-            _check(diffs, row, "d_dagger", dd.value, ddag_tab)
-        else:
-            _check(diffs, row, "d_dagger(bound)", dd.value, ddag_tab, kind="upper_bound")
+        _check_distance(diffs, row, "d_min", d_min(code, budget=budget, seed=seed), dmin_tab)
+        _check_distance(diffs, row, "d_dagger", d_dagger(
+            code, budget=budget, seed=seed, exact_max_m=m_max), ddag_tab)
     return diffs
 
 
@@ -227,8 +224,7 @@ def check_table_4(level: str = "full", budget: int = 2_000_000,
         code = build_qcs(spec)
         row = f"[[21,{K},{dmin_tab}]] {layout} remove {list(removal)}"
         _check(diffs, row, "K", code.k_logical, K)
-        dm = d_min(code, budget=budget, seed=seed)
-        _check(diffs, row, "d_min", dm.value, dmin_tab)
+        _check_distance(diffs, row, "d_min", d_min(code, budget=budget, seed=seed), dmin_tab)
     return diffs
 
 

@@ -95,8 +95,8 @@ def build_type1(spec: Type1Spec) -> StabilizerCode:
     ctx = spec.ctx
     left, right = half_polys(spec)
     rows = None if spec.row_subset is None else zero_based_rows(spec.row_subset, ctx.p)
-    _, sub, rows = commuting_generators(circulant(left), circulant(right), rows,
-                                        f"type1 {spec.variant.value}, p = {ctx.p}")
+    sub, rows = commuting_generators(circulant(left), circulant(right), rows,
+                                     f"type1 {spec.variant.value}, p = {ctx.p}")
     return StabilizerCode(
         n_qubits=ctx.p,
         h=sub,

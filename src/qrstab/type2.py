@@ -197,11 +197,14 @@ def build_qcs(spec: QcsSpec) -> StabilizerCode:
                else default_removal(ctx, spec.variant))
     dropped = set(zero_based_rows(removed, n_rows) if removed else ())
     left, right = lift(left_proto), lift(right_proto)
-    joint, sub, _ = commuting_generators(
+    sub, _ = commuting_generators(
         left, right, [i for i in range(n_rows) if i not in dropped],
         f"QCS-{spec.variant.value}, p = {ctx.p}")
-    # the plain half is the one whose cells are still singletons
-    plain_half = left if all(len(c) == 1 for row in left_proto.cells for c in row) else right
+    # one elimination with the plain half (cells still singletons) first: a
+    # pivot is its row's lowest set bit, so rows pivoting past the plain
+    # columns are zero on them, and the plain rank counts the pivots there
+    plain_left = all(len(c) == 1 for row in left_proto.cells for c in row)
+    pivots = (left.hstack(right) if plain_left else right.hstack(left)).rref().pivot_cols
     return StabilizerCode(
         n_qubits=n_rows,
         h=sub,
@@ -213,7 +216,7 @@ def build_qcs(spec: QcsSpec) -> StabilizerCode:
             "variant": spec.variant.value,
             "layout": spec.layout.value if spec.variant is QcsVariant.A else None,
             "removed_rows": sorted(removed),
-            "rank_full": joint.rank(),
-            "rank_plain_half": plain_half.rank(),
+            "rank_full": len(pivots),
+            "rank_plain_half": sum(c < n_rows for c in pivots),
         },
     )

@@ -1,8 +1,11 @@
 import math
 
+import pytest
+
 from qrstab.bounds import (asymptotic_curves, binary_entropy, css_gv_rate,
                            curves_csv, evaluate_bounds, gv_bound,
                            hamming_bound, singleton_bound)
+from qrstab.errors import InvalidParameters
 
 
 def sphere_oracle(n, radius):
@@ -110,3 +113,14 @@ def test_report_fields():
     assert rep.t == 1
     assert rep.hamming_tight and rep.singleton_tight
     assert set(rep.asymptotic_rates) == {"hamming", "gv", "css-gv", "singleton"}
+
+
+@pytest.mark.parametrize("n,k,d", [(0, 0, 1), (5, 7, 3), (5, -1, 3), (5, 1, 0)])
+def test_report_rejects_invalid_parameters(n, k, d):
+    with pytest.raises(InvalidParameters):
+        evaluate_bounds(n, k, d)
+
+
+def test_curves_need_two_samples():
+    with pytest.raises(InvalidParameters):
+        asymptotic_curves(1)

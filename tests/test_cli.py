@@ -237,6 +237,21 @@ def test_bounds_check(capsys):
     assert out.count("tight") == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "bounds --resolution 1",
+    "bounds --check 21,5",
+    "bounds --check 0,0,1",
+    "bounds --check 5,7,3",
+    "build --type 1 --p 7 --variant A",
+    "build --type 2 --p 13 --variant plus-form",
+])
+def test_bad_input_is_a_one_line_error(capsys, argv):
+    rc, _, err = run(capsys, *argv.split())
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_bounds_csv(tmp_path, capsys):
     path = tmp_path / "curves.csv"
     rc, out, _ = run(capsys, "bounds", "--resolution", "21", "--out", str(path))

@@ -1,11 +1,12 @@
 import pytest
 
+from qrstab import gf2
 from qrstab.code import StabilizerCode
-from qrstab.errors import DependentRows, SipViolation
+from qrstab.errors import DependentRows, ShapeMismatch, SipViolation
 from qrstab.gf2 import Gf2Matrix
 from qrstab.numtheory import classify_prime
 from qrstab.type1 import Type1Spec, Type1Variant, build_type1
-from qrstab.type2 import QcsSpec, QcsVariant, build_qcs
+from qrstab.type2 import Layout, QcsSpec, QcsVariant, build_qcs
 
 BUILDS = {
     "type1": lambda: build_type1(Type1Spec(classify_prime(7), Type1Variant.RESIDUE_PAIR)),
@@ -43,3 +44,27 @@ def test_validate_goes_through_the_gate():
     with pytest.raises(SipViolation):
         StabilizerCode(2, Gf2Matrix.from_dense([[1, 0, 0, 0], [0, 0, 1, 0]]),
                        "type1").validate()
+
+
+@pytest.mark.parametrize("p,variant,layout", [
+    (29, QcsVariant.B, Layout.H1_ADJ2),
+    (7, QcsVariant.A, Layout.ADJ2_H1),
+], ids=["plain-left", "plain-right"])
+def test_build_qcs_eliminates_twice(monkeypatch, p, variant, layout):
+    # the gate's check of the kept rows, then one elimination of the lifted
+    # matrix for both provenance ranks
+    rows_reduced = []
+    real = gf2.row_reduce
+
+    def counting(words):
+        rows_reduced.append(len(words))
+        return real(words)
+
+    monkeypatch.setattr(gf2, "row_reduce", counting)
+    code = build_qcs(QcsSpec(classify_prime(p), variant, layout))
+    assert rows_reduced == [code.m, code.n_qubits]
+
+
+def test_code_with_wrong_width_is_a_shape_mismatch():
+    with pytest.raises(ShapeMismatch, match="2N columns"):
+        StabilizerCode(3, Gf2Matrix.zeros(1, 5), "type1")

@@ -2,7 +2,7 @@ import pytest
 
 from qrstab.errors import NotPrime, UnsupportedModulus
 from qrstab.numtheory import (Form, classify_prime, is_prime, legendre,
-                              qr_as_beta_powers, smallest_primitive_root)
+                              smallest_primitive_root)
 
 PRIMES_TO_200 = [p for p in range(3, 201) if is_prime(p)]
 
@@ -59,11 +59,34 @@ def test_legendre_matches_euler_criterion(p):
 
 
 def test_beta_powers_examples():
-    assert qr_as_beta_powers(classify_prime(7)) == [2, 4, 1]
-    assert qr_as_beta_powers(classify_prime(13)) == [4, 3, 12, 9, 10, 1]
+    assert list(classify_prime(7).beta_powers) == [2, 4, 1]
+    assert list(classify_prime(13).beta_powers) == [4, 3, 12, 9, 10, 1]
     ctx5 = classify_prime(5)
     assert (ctx5.alpha, ctx5.beta) == (2, 4)
-    assert qr_as_beta_powers(ctx5) == [4, 1]
+    assert list(ctx5.beta_powers) == [4, 1]
+
+
+def test_is_prime_matches_a_sieve():
+    # oracle: the sieve of Eratosthenes up to 10^5
+    limit = 10 ** 5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 1)
+    for i in range(2, int(limit ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytearray(len(range(i * i, limit + 1, i)))
+    assert ([n for n in range(-5, limit + 1) if is_prime(n)]
+            == [n for n in range(limit + 1) if sieve[n]])
+
+
+@pytest.mark.parametrize("n", [561, 1105, 41041,        # Carmichael numbers
+                               2047, 3277, 25326001])  # strong pseudoprimes
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_near_the_modulus_limit():
+    assert is_prime((1 << 31) - 1)       # Mersenne prime M31
+    assert not is_prime(46337 * 46337)   # square of a prime, just below 2^31
+    assert not is_prime((1 << 31) - 3)   # divisible by 5
 
 
 @pytest.mark.parametrize("p", PRIMES_TO_200)

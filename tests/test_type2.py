@@ -102,15 +102,23 @@ def test_lift_empty_cell_is_zero_block():
 @pytest.mark.parametrize("p", QCS_PRIMES)
 def test_component_ranks_and_relation(p):
     ctx = classify_prime(p)
-    spec = QcsSpec(ctx, variant_for(p))
-    left_proto, right_proto = arrange(spec)
-    left, right = lift(left_proto), lift(right_proto)
-    expect = expected_component_rank(ctx, spec.variant)
-    if spec.variant is QcsVariant.A:
-        assert left.rank() == expect          # plain half
-        assert right.rank() == expect - 1     # adjunct half is one short
-    else:
-        assert left.rank() == right.rank() == expect
+    variant = variant_for(p)
+    expect = expected_component_rank(ctx, variant)
+    for layout in (Layout if variant is QcsVariant.A else [Layout.H1_ADJ2]):
+        spec = QcsSpec(ctx, variant, layout)
+        left_proto, right_proto = arrange(spec)
+        left, right = lift(left_proto), lift(right_proto)
+        # "h1-adj2" and "h2-adj1" keep the plain half on the left
+        plain, adjunct = (left, right) if layout.value.startswith("h") else (right, left)
+        if variant is QcsVariant.A:
+            assert plain.rank() == expect
+            assert adjunct.rank() == expect - 1   # adjunct half is one short
+        else:
+            assert left.rank() == right.rank() == expect
+        # the provenance ranks, from one elimination, match direct ones
+        provenance = build_qcs(spec).provenance
+        assert provenance["rank_full"] == left.hstack(right).rank()
+        assert provenance["rank_plain_half"] == plain.rank()
 
 
 @pytest.mark.parametrize("p,expect_removed,expect_k", [
