@@ -19,8 +19,7 @@ import argparse
 import sys
 
 from . import alist as alist_mod
-from .analysis import (EXACT_DDAG_MAX_M, EXACT_DMIN_MAX_DUAL, classify_degeneracy,
-                       d_dagger, d_min)
+from .analysis import DEFAULT_BUDGET, classify_degeneracy, d_dagger, d_min
 from .bounds import curves_csv, evaluate_bounds
 from .errors import QrstabError
 from .numtheory import classify_prime
@@ -59,7 +58,7 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("--distance", choices=("exact", "bound", "none"), default="none")
     b.add_argument("--force", action="store_true",
                    help="allow unproven type-1 variants (a SIP check still applies)")
-    b.add_argument("--budget", type=int, default=10_000_000)
+    b.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", default=None)
     b.add_argument("--format", dest="fmt", choices=("json", "alist", "pauli"),
@@ -68,7 +67,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("tables", help="rebuild a reference table and diff it")
     t.add_argument("--which", type=int, choices=(1, 2, 3, 4), required=True)
-    t.add_argument("--level", choices=("fast", "full"), default="full")
     t.add_argument("--budget", type=int, default=2_000_000)
     t.add_argument("--seed", type=int, default=0)
 
@@ -108,14 +106,30 @@ def _build_code(args):
     return build_qcs(QcsSpec(ctx, variant, Layout(args.layout), args.remove))
 
 
+def _write(payload: str, out: str | None) -> int:
+    """Write ``payload`` to the file ``out``, or to stdout when it is None."""
+    if not out:
+        sys.stdout.write(payload)
+        return 0
+    try:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise QrstabError(f"cannot write {out}: {exc.strerror or exc}") from None
+    print(f"wrote {out}")
+    return 0
+
+
 def cmd_build(args) -> int:
     code = _build_code(args)
     ddag = dmin = degenerate = None
     if args.distance != "none" and not code.trivial:
-        exact_dual = EXACT_DMIN_MAX_DUAL if args.distance == "exact" else -1
-        exact_m = EXACT_DDAG_MAX_M if args.distance == "exact" else -1
-        ddag = d_dagger(code, budget=args.budget, seed=args.seed, exact_max_m=exact_m)
-        dmin = d_min(code, budget=args.budget, seed=args.seed, exact_max_dual=exact_dual)
+        search = {"budget": args.budget, "seed": args.seed}
+        if args.distance == "exact":  # analysis decides what it can enumerate
+            ddag, dmin = d_dagger(code, **search), d_min(code, **search)
+        else:
+            ddag = d_dagger(code, exact_max_m=-1, **search)
+            dmin = d_min(code, exact_max_dual=-1, **search)
         if ddag.is_exact and dmin.is_exact:
             degenerate = classify_degeneracy(ddag, dmin)
     if args.fmt == "alist":
@@ -124,18 +138,11 @@ def cmd_build(args) -> int:
         name = args.name or f"{code.family} p={args.p} {code.params()}"
         record = make_record(code, name, ddag, dmin, degenerate)
         payload = record.to_json() if args.fmt == "json" else pauli_text(record)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(payload)
-    return 0
+    return _write(payload, args.out)
 
 
 def cmd_tables(args) -> int:
-    diffs = check_table(args.which, level=args.level, budget=args.budget,
-                        seed=args.seed)
+    diffs = check_table(args.which, budget=args.budget, seed=args.seed)
     if not diffs:
         print(f"table {args.which}: all checked cells match")
         return 0
@@ -159,14 +166,7 @@ def cmd_bounds(args) -> int:
         print(f"singleton: {'ok' if rep.singleton_ok else 'violated'}"
               f"{' (tight)' if rep.singleton_tight else ''}")
         return 0
-    payload = curves_csv(args.resolution)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(payload)
-    return 0
+    return _write(curves_csv(args.resolution), args.out)
 
 
 def main(argv=None) -> int:

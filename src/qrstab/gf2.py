@@ -132,9 +132,6 @@ class Gf2Matrix:
             return NotImplemented
         return (self.shape == other.shape) and bool(np.array_equal(self._words, other._words))
 
-    def __hash__(self):  # pragma: no cover - not used as dict keys
-        return hash((self.rows, self.cols, self._words.tobytes()))
-
     def __repr__(self) -> str:
         return f"Gf2Matrix({self.rows}x{self.cols})"
 

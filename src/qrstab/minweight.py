@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidParameters
 from .gf2 import pack, row_reduce, unpack
 
 # bit 2q of a word of interleaved (x_q, z_q) columns
@@ -168,9 +169,11 @@ def isd_search(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
     minimum-weight elements surface quickly for structured codes.
 
     ``accept`` optionally filters candidates (given dense a, b vectors);
-    elements failing it are scored but never returned.  ``budget`` caps the
-    number of scored candidates.  Never returns the zero vector.
+    elements failing it are scored but never returned.  ``budget`` (at least
+    1) caps the number of scored candidates.  Never returns the zero vector.
     """
+    if budget < 1:
+        raise InvalidParameters(f"search budget must be at least 1, got {budget}")
     rng = np.random.default_rng(seed)
     r = basis_a.shape[0]
     sentinel = n_qubits + 1

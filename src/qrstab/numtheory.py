@@ -9,6 +9,7 @@ are reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -120,4 +121,5 @@ def legendre(a: int, ctx: QrContext) -> int:
     a %= ctx.p
     if a == 0:
         return 0
-    return 1 if a in set(ctx.qr) else -1
+    i = bisect_left(ctx.qr, a)
+    return 1 if i < ctx.k and ctx.qr[i] == a else -1

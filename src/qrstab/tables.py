@@ -1,16 +1,18 @@
 """Reference parameter tables for the constructed code families, and the
 harness that rebuilds every constructible column and diffs it.
 
-Expected values are stated per row; cells whose exact verification exceeds
-desk scale are checked as upper bounds and labeled as such in the diff
-output.  The harness is deterministic for a fixed seed.
+Expected values are stated per row.  A distance cell is checked as exact
+or as an upper bound according to the tag the distance engine gives it,
+and bound cells are labeled as such in the diff output.  The harness is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import (EXACT_DDAG_MAX_M, EXACT_DMIN_MAX_DUAL, d_dagger, d_min)
+from .analysis import d_dagger, d_min
+from .errors import InvalidParameters
 from .numtheory import classify_prime
 from .type1 import Type1Spec, Type1Variant, build_type1
 from .type2 import (Layout, QcsSpec, QcsVariant, build_qcs,
@@ -139,100 +141,68 @@ class CellDiff:
                 f"expected {rel} {self.expected}")
 
 
-def _check(diffs, row, field, got, expected, kind="exact"):
-    ok = got == expected if kind == "exact" else got <= expected
-    if not ok:
-        diffs.append(CellDiff(row, field, got, expected, kind))
-
-
-def _check_distance(diffs, row, field, dist, expected):
-    """A distance cell, checked as its tag says: exact, or an upper bound."""
-    if dist.is_exact:
-        _check(diffs, row, field, dist.value, expected)
-    else:
-        _check(diffs, row, f"{field}(bound)", dist.value, expected, kind="upper_bound")
-
-
-def _thresholds(level: str) -> tuple[int, int]:
-    """(exact_max_dual, exact_max_m); the fast level skips 2^28-scale work."""
-    if level == "fast":
-        return 28, 24
-    return EXACT_DMIN_MAX_DUAL, EXACT_DDAG_MAX_M
-
-
-def check_table_1(level: str = "full", budget: int = 2_000_000,
-                  seed: int = 0) -> list[CellDiff]:
-    diffs: list[CellDiff] = []
-    dual_max, m_max = _thresholds(level)
+def _table_1():
     for n, N, K, dmin_tab, ddag_tab in TABLE_I:
-        ctx = classify_prime(N)
-        code = build_type1(Type1Spec(ctx, Type1Variant.PLUS_FORM))
-        row = f"[[{N},{K},{dmin_tab}]]"
-        _check(diffs, row, "N", code.n_qubits, N)
-        _check(diffs, row, "K", code.k_logical, K)
-        _check(diffs, row, "rank", code.m, N - K)
-        _check_distance(diffs, row, "d_min", d_min(
-            code, budget=budget, seed=seed, exact_max_dual=dual_max), dmin_tab)
-        _check_distance(diffs, row, "d_dagger", d_dagger(
-            code, budget=budget, seed=seed, exact_max_m=m_max), ddag_tab)
-    return diffs
+        code = build_type1(Type1Spec(classify_prime(N), Type1Variant.PLUS_FORM))
+        yield (f"[[{N},{K},{dmin_tab}]]", code,
+               {"N": N, "K": K, "rank": N - K, "d_min": dmin_tab, "d_dagger": ddag_tab})
 
 
-def check_table_2(level: str = "full", budget: int = 2_000_000,
-                  seed: int = 0) -> list[CellDiff]:
-    diffs: list[CellDiff] = []
-    _, m_max = _thresholds(level)
+def _table_2():
     for n, N, K, dmin_tab, ddag_tab in TABLE_II:
-        ctx = classify_prime(N)
-        code = build_type1(Type1Spec(ctx, Type1Variant.RESIDUE_PAIR))
-        row = f"[[{N},{K},{dmin_tab}]]"
-        _check(diffs, row, "N", code.n_qubits, N)
-        _check(diffs, row, "K", code.k_logical, K)
-        _check_distance(diffs, row, "d_min", d_min(code, budget=budget, seed=seed), dmin_tab)
-        _check_distance(diffs, row, "d_dagger", d_dagger(
-            code, budget=budget, seed=seed, exact_max_m=m_max), ddag_tab)
-    return diffs
+        code = build_type1(Type1Spec(classify_prime(N), Type1Variant.RESIDUE_PAIR))
+        yield (f"[[{N},{K},{dmin_tab}]]", code,
+               {"N": N, "K": K, "d_min": dmin_tab, "d_dagger": ddag_tab})
 
 
-def _qcs_spec(variant: str, p: int, removal, layout) -> QcsSpec:
-    ctx = classify_prime(p)
-    return QcsSpec(ctx, QcsVariant(variant),
-                   Layout(layout) if layout else Layout.H1_ADJ2,
-                   tuple(removal) if removal else None)
-
-
-def check_table_3(level: str = "full", budget: int = 2_000_000,
-                  seed: int = 0) -> list[CellDiff]:
-    diffs: list[CellDiff] = []
+def _table_3():
     for n, variant, p, k, N, K, removal, layout in TABLE_III:
-        spec = _qcs_spec(variant, p, removal, layout)
-        code = build_qcs(spec)
-        row = f"[[{N},{K}]] qcs-{variant.lower()} p={p}"
-        _check(diffs, row, "N", code.n_qubits, N)
-        _check(diffs, row, "K", code.k_logical, K)
-        _check(diffs, row, "component rank", code.provenance["rank_plain_half"],
-               expected_component_rank(spec.ctx, spec.variant))
-    return diffs
+        spec = QcsSpec(classify_prime(p), QcsVariant(variant),
+                       Layout(layout) if layout else Layout.H1_ADJ2,
+                       tuple(removal) if removal else None)
+        yield (f"[[{N},{K}]] qcs-{variant.lower()} p={p}", build_qcs(spec),
+               {"N": N, "K": K,
+                "component rank": expected_component_rank(spec.ctx, spec.variant)})
 
 
-def check_table_4(level: str = "full", budget: int = 2_000_000,
-                  seed: int = 0) -> list[CellDiff]:
-    diffs: list[CellDiff] = []
+def _table_4():
     ctx = classify_prime(7)
     for layout, removal, K, dmin_tab in TABLE_IV:
-        spec = QcsSpec(ctx, QcsVariant.A, Layout(layout), tuple(removal))
-        code = build_qcs(spec)
-        row = f"[[21,{K},{dmin_tab}]] {layout} remove {list(removal)}"
-        _check(diffs, row, "K", code.k_logical, K)
-        _check_distance(diffs, row, "d_min", d_min(code, budget=budget, seed=seed), dmin_tab)
+        code = build_qcs(QcsSpec(ctx, QcsVariant.A, Layout(layout), tuple(removal)))
+        yield (f"[[21,{K},{dmin_tab}]] {layout} remove {list(removal)}", code,
+               {"K": K, "d_min": dmin_tab})
+
+
+# Each table yields (row label, code, {field: published value}) per row.
+_TABLES = {1: _table_1, 2: _table_2, 3: _table_3, 4: _table_4}
+
+_COUNTS = {
+    "N": lambda code: code.n_qubits,
+    "K": lambda code: code.k_logical,
+    "rank": lambda code: code.m,
+    "component rank": lambda code: code.provenance["rank_plain_half"],
+}
+_DISTANCES = {"d_min": d_min, "d_dagger": d_dagger}
+
+
+def check_table(which: int, budget: int = 2_000_000, seed: int = 0) -> list[CellDiff]:
+    """Rebuild every row of Table ``which`` and diff each checked cell.
+
+    A distance cell is checked as its tag says: an exact value must equal
+    the table, an upper bound (field suffixed "(bound)") must not exceed it.
+    """
+    if which not in _TABLES:
+        raise InvalidParameters(f"table number must be 1..4, got {which}")
+    diffs: list[CellDiff] = []
+    for row, code, cells in _TABLES[which]():
+        for field, expected in cells.items():
+            if field in _COUNTS:
+                got, kind = _COUNTS[field](code), "exact"
+            else:
+                dist = _DISTANCES[field](code, budget=budget, seed=seed)
+                got, kind = dist.value, dist.tag
+                if not dist.is_exact:
+                    field = f"{field}(bound)"
+            if not (got == expected if kind == "exact" else got <= expected):
+                diffs.append(CellDiff(row, field, got, expected, kind))
     return diffs
-
-
-_CHECKERS = {1: check_table_1, 2: check_table_2, 3: check_table_3, 4: check_table_4}
-
-
-def check_table(which: int, level: str = "full", budget: int = 2_000_000,
-                seed: int = 0) -> list[CellDiff]:
-    if which not in _CHECKERS:
-        raise ValueError("table number must be 1..4")
-    return _CHECKERS[which](level=level, budget=budget, seed=seed)

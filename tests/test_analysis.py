@@ -5,7 +5,8 @@ from pauli_scan import certify_distance, lightest_logical_weight
 from qrstab.analysis import (DistanceValue, classify_degeneracy, d_dagger,
                              d_min, distance_report, gf4_linear, standard_form)
 from qrstab.code import StabilizerCode
-from qrstab.errors import BudgetExhausted, DependentRows, InexactInputs
+from qrstab.errors import (BudgetExhausted, DependentRows, InexactInputs,
+                           InvalidParameters)
 from qrstab.gf2 import Gf2Matrix, pack
 from qrstab.minweight import min_weight_affine, xor_table
 from qrstab.numtheory import classify_prime
@@ -213,6 +214,15 @@ def test_bounded_mode_deterministic(make_type1):
     a = d_min(code, budget=100_000, seed=3, exact_max_dual=-1)
     b = d_min(code, budget=100_000, seed=3, exact_max_dual=-1)
     assert (a.value, a.witness) == (b.value, b.witness)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_bounded_mode_rejects_a_budget_below_one(make_type1, budget):
+    code = make_type1(13)  # no weight <= 2 logical, so the search must run
+    with pytest.raises(InvalidParameters):
+        d_min(code, budget=budget, exact_max_dual=-1)
+    with pytest.raises(InvalidParameters):
+        d_dagger(code, budget=budget, exact_max_m=-1)
 
 
 def test_trivial_code_has_no_distance(make_type1):

@@ -216,8 +216,7 @@ def test_tables_3_matches(capsys):
 
 
 def test_tables_2_fast(capsys):
-    rc, out, _ = run(capsys, "tables", "--which", "2", "--level", "fast",
-                     "--budget", "300000")
+    rc, out, _ = run(capsys, "tables", "--which", "2", "--budget", "300000")
     # exact cells match; the two sampled cells pass as labeled upper bounds
     assert rc == 0
 
@@ -244,12 +243,26 @@ def test_bounds_check(capsys):
     "bounds --check 5,7,3",
     "build --type 1 --p 7 --variant A",
     "build --type 2 --p 13 --variant plus-form",
+    "build --type 1 --p 7 --distance bound --budget -5",
+    "build --type 1 --p 7 --distance bound --budget 0",
 ])
 def test_bad_input_is_a_one_line_error(capsys, argv):
     rc, _, err = run(capsys, *argv.split())
     assert rc == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    "build --type 1 --p 5",
+    "bounds --resolution 21",
+])
+def test_unwritable_out_is_a_one_line_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.out"
+    rc, out, err = run(capsys, *argv.split(), "--out", str(target))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(target) in err and "Traceback" not in err
 
 
 def test_bounds_csv(tmp_path, capsys):

@@ -49,7 +49,7 @@ def test_legendre_examples():
     assert legendre(3, classify_prime(7)) == -1
 
 
-@pytest.mark.parametrize("p", [p for p in PRIMES_TO_200 if p <= 50])
+@pytest.mark.parametrize("p", [p for p in PRIMES_TO_200 if p <= 50] + [10_007])
 def test_legendre_matches_euler_criterion(p):
     ctx = classify_prime(p)
     for a in range(p):
