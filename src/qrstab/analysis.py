@@ -16,7 +16,7 @@ import numpy as np
 
 from .code import StabilizerCode
 from .errors import BudgetExhausted, InexactInputs
-from .gf2 import Gf2Matrix, pack
+from .gf2 import Gf2Matrix, pack, row_reduce, unpack
 from .minweight import (SearchResult, isd_search, low_weight_commuting,
                         min_weight_affine, min_weight_span, xor_table)
 from .symplectic import SymplecticVector, to_pauli
@@ -54,9 +54,10 @@ def standard_form(code: StabilizerCode) -> StandardForm:
 
     The bits never move: ``colperm`` is the logical qubit order.  The X-half
     pivots are those of H's RREF; each in turn is swapped into the next
-    logical position.  The Z-half pivots come from one more RREF with the
-    X columns first and the Z columns in the logical order the X phase
-    left, and are swapped into place the same way.  That reproduces
+    logical position.  The Z-half pivots come from one more ``row_reduce``
+    of H's columns reordered, the X columns first and the Z columns in the
+    logical order the X phase left; they are mapped back through that order
+    and swapped into place the same way.  That reproduces
     column-by-column elimination with its swap sequence exactly.
     """
     n = code.n_qubits
@@ -72,15 +73,16 @@ def standard_form(code: StabilizerCode) -> StandardForm:
     r = len(x_pivots)
     for c, q in enumerate(x_pivots):
         move_to(q, c)
-    order = list(range(n)) + [n + q for q in colperm[r:]] + [n + q for q in colperm[:r]]
-    red = code.h.rref(order)
-    z_pivots = [c - n for c in red.pivot_cols[r:]]
-    if len(red.pivot_cols) != m or not set(z_pivots) <= set(colperm[r:]):  # pragma: no cover
+    order = np.concatenate([np.arange(n), n + np.array(colperm[r:] + colperm[:r])])
+    reduced, pivots, _ = row_reduce(pack(code.h.to_dense()[:, order]))
+    z_pivots = (order[pivots[r:]] - n).tolist()
+    if len(pivots) != m or not set(z_pivots) <= set(colperm[r:]):  # pragma: no cover
         raise ValueError("generator rows were not independent")
     for c, q in enumerate(z_pivots, start=r):
         move_to(q, c)
 
-    dense = red.matrix.to_dense()
+    dense = np.empty((len(reduced), 2 * n), dtype=np.uint8)
+    dense[:, order] = unpack(reduced, 2 * n)
     h1, h2 = dense[:, :n], dense[:, n:]
     perm = np.asarray(colperm)
     tail = perm[m:]

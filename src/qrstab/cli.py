@@ -67,8 +67,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("tables", help="rebuild a reference table and diff it")
     t.add_argument("--which", type=int, choices=(1, 2, 3, 4), required=True)
-    t.add_argument("--budget", type=int, default=2_000_000)
-    t.add_argument("--seed", type=int, default=0)
 
     c = sub.add_parser("bounds", help="finite bounds or asymptotic curve CSV")
     c.add_argument("--check", type=_parse_rows, default=None, metavar="N,K,D")
@@ -142,7 +140,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    diffs = check_table(args.which, budget=args.budget, seed=args.seed)
+    diffs = check_table(args.which)
     if not diffs:
         print(f"table {args.which}: all checked cells match")
         return 0

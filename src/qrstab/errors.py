@@ -10,7 +10,7 @@ class NotPrime(QrstabError):
 
 
 class UnsupportedModulus(QrstabError):
-    """The modulus is prime but outside the supported range (p = 2 or p >= 2**31)."""
+    """The modulus is prime but outside the supported range (p = 2 or p >= 2**20)."""
 
 
 class UnsupportedForm(QrstabError):
@@ -54,7 +54,7 @@ class InexactInputs(QrstabError):
 
 
 class BudgetExhausted(QrstabError):
-    """A bounded search ended without finding any admissible element."""
+    """d_min was asked of a K = 0 code, whose normalizer is its stabilizer."""
 
 
 class MalformedAlist(QrstabError):
@@ -63,3 +63,7 @@ class MalformedAlist(QrstabError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class MalformedRecord(QrstabError, ValueError):
+    """A JSON code record is malformed or of another schema version."""

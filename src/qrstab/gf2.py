@@ -171,29 +171,19 @@ class Gf2Matrix:
     def rank(self) -> int:
         return len(self.rref().pivot_cols)
 
-    def rref(self, column_order=None) -> "RrefResult":
-        """Reduced row echelon form over GF(2).
-
-        Pivots are taken greedily in ``column_order`` (a permutation of the
-        columns; natural order by default), and the reduced matrix keeps the
-        original column positions.  ``independent_rows`` is the first-wins
+    def rref(self) -> "RrefResult":
+        """Reduced row echelon form over GF(2) in natural column order,
+        computed once and cached.  ``independent_rows`` is the first-wins
         spanning subset: scanning top to bottom, a row is listed iff it is
-        independent of all rows listed before it.  The natural-order result
-        is computed once and cached.
+        independent of all rows listed before it.  Eliminations in another
+        column order call ``row_reduce`` on the reordered columns.
         """
-        if column_order is None:
-            if self._rref is None:
-                reduced, pivots, sources = row_reduce(self._words)
-                self._rref = RrefResult(Gf2Matrix(self.rows, self.cols, reduced),
-                                        tuple(pivots.tolist()),
-                                        tuple(sorted(sources.tolist())))
-            return self._rref
-        order = np.asarray(column_order, dtype=np.int64)
-        reduced, pivots, sources = row_reduce(pack(self.to_dense()[:, order]))
-        restored = np.empty((self.rows, self.cols), dtype=np.uint8)
-        restored[:, order] = unpack(reduced, self.cols)
-        return RrefResult(Gf2Matrix.from_dense(restored), tuple(order[pivots].tolist()),
-                          tuple(sorted(sources.tolist())))
+        if self._rref is None:
+            reduced, pivots, sources = row_reduce(self._words)
+            self._rref = RrefResult(Gf2Matrix(self.rows, self.cols, reduced),
+                                    tuple(pivots.tolist()),
+                                    tuple(sorted(sources.tolist())))
+        return self._rref
 
     def independent_row_subset(self) -> list[int]:
         """First-wins independent spanning rows, scanning top to bottom."""

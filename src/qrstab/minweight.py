@@ -15,7 +15,9 @@ seeded by the caller; identical seeds give identical results.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -112,38 +114,31 @@ def low_weight_commuting(ha: np.ndarray, hb: np.ndarray,
     stabilizer, the distance is settled without enumerating the dual space.
     The syndrome of X on qubit q is column q of hb, of Z column q of ha, and
     of Y their XOR.  A weight-1 vector commutes iff its syndrome is zero and
-    a weight-2 vector iff its two syndromes are equal, so the scan groups
-    the 3N packed syndrome columns instead of testing candidates.
+    a weight-2 vector iff its two syndromes are equal, so the scan buckets
+    the 3N packed syndrome columns by value and pairs within each bucket
+    instead of testing candidates.
     """
     sx, sz = pack(hb.T), pack(ha.T)
-    syndromes = np.vstack([sx, sz, sx ^ sz])  # row k: pattern k // N on qubit k % N
-    pattern, qubit = np.divmod(np.arange(3 * n_qubits), n_qubits)
-    singles = np.flatnonzero(~syndromes.any(axis=1))[:, None]
-
-    # equal syndromes sit next to each other once sorted by group; a pair
-    # d apart in that order exists only while some group has over d members
-    group = np.unique(syndromes, axis=0, return_inverse=True)[1].ravel()
-    order = np.argsort(group, kind="stable")
-    pairs = [np.empty((0, 2), dtype=np.int64)]
-    for d in range(1, len(order)):
-        same = group[order[d:]] == group[order[:-d]]
-        if not same.any():
-            break
-        pairs.append(np.stack([order[:-d][same], order[d:][same]], axis=1))
-    pairs = np.concatenate(pairs)
-    pairs = pairs[qubit[pairs[:, 0]] != qubit[pairs[:, 1]]]
-    pairs = np.take_along_axis(pairs, np.argsort(qubit[pairs], axis=1), axis=1)
-    pat, qs = pattern[pairs], qubit[pairs]
-    pairs = pairs[np.lexsort((qs[:, 1], qs[:, 0], pat[:, 1], pat[:, 0]))]
+    buckets = defaultdict(list)
+    for k, s in enumerate(np.vstack([sx, sz, sx ^ sz])):
+        buckets[s.tobytes()].append(divmod(k, n_qubits))  # (pattern, qubit)
+    # each vector as (patterns..., qubits...), lowest qubit first; tuples sort
+    # in the documented order
+    singles = buckets.get(bytes(sx[0].nbytes), [])
+    pairs = sorted((p0, p1, q0, q1) if q0 < q1 else (p1, p0, q1, q0)
+                   for bucket in buckets.values()
+                   for (p0, q0), (p1, q1) in combinations(bucket, 2) if q0 != q1)
 
     out = []
-    for w, ks in ((1, singles), (2, pairs)):
-        rows = np.arange(len(ks))[:, None]
-        a = np.zeros((len(ks), n_qubits), dtype=np.uint8)
+    for w, cells in ((1, singles), (2, pairs)):
+        cells = np.array(cells, dtype=np.int64).reshape(-1, 2 * w)
+        pats, qubits = cells[:, :w], cells[:, w:]
+        rows = np.arange(len(cells))[:, None]
+        a = np.zeros((len(cells), n_qubits), dtype=np.uint8)
         b = np.zeros_like(a)
-        a[rows, qubit[ks]] = pattern[ks] != 1  # X or Y
-        b[rows, qubit[ks]] = pattern[ks] != 0  # Z or Y
-        out += [(w, a[r], b[r]) for r in range(len(ks))]
+        a[rows, qubits] = pats != 1  # X or Y
+        b[rows, qubits] = pats != 0  # Z or Y
+        out += [(w, a[r], b[r]) for r in range(len(cells))]
     return out
 
 

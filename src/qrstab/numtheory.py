@@ -16,7 +16,8 @@ from functools import lru_cache
 
 from .errors import NotPrime, UnsupportedModulus
 
-_MAX_MODULUS = 1 << 31
+# the residue context holds O(p) Python ints: 1.6 s and ~200 MB just below 2**20
+_MAX_MODULUS = 1 << 20
 
 
 class Form(Enum):
@@ -80,12 +81,12 @@ def classify_prime(p: int) -> QrContext:
     """Build the residue context for an odd prime p.
 
     Raises NotPrime for composites and UnsupportedModulus for p = 2 or
-    p >= 2**31.
+    p >= 2**20.
     """
     if p == 2:
         raise UnsupportedModulus("p = 2 has no quadratic residue structure")
     if p >= _MAX_MODULUS:
-        raise UnsupportedModulus(f"p = {p} exceeds the supported range (< 2**31)")
+        raise UnsupportedModulus(f"p = {p} exceeds the supported range (< 2**20)")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
 

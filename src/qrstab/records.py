@@ -1,8 +1,8 @@
 """Serializable description of a constructed and analyzed code.
 
 Records serialize to key-sorted JSON (UTF-8, LF) and round-trip losslessly;
-the schema version is checked on import.  Distances always carry their
-exact / upper_bound tag.
+the schema version is checked on import, and malformed input raises
+``MalformedRecord``.  Distances always carry their exact / upper_bound tag.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from typing import Any
 
 from .analysis import DistanceValue
 from .code import StabilizerCode
+from .errors import MalformedRecord
 from .gf2 import Gf2Matrix
 from .symplectic import SymplecticVector, from_pauli, to_pauli
 
@@ -45,11 +46,16 @@ class CodeRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "CodeRecord":
-        data = json.loads(text)
-        version = data.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema_version {version!r}")
-        return cls(**data)
+        try:
+            data = json.loads(text)
+            if not isinstance(data, dict):
+                raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+            version = data.get("schema_version")
+            if version != SCHEMA_VERSION:
+                raise ValueError(f"unsupported schema_version {version!r}")
+            return cls(**data)
+        except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+            raise MalformedRecord(str(exc)) from None
 
     def check_matrix(self) -> Gf2Matrix:
         """Rebuild H = [H1 | H2] from the generator Pauli strings."""

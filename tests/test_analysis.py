@@ -7,8 +7,8 @@ from qrstab.analysis import (DistanceValue, classify_degeneracy, d_dagger,
 from qrstab.code import StabilizerCode
 from qrstab.errors import (BudgetExhausted, DependentRows, InexactInputs,
                            InvalidParameters)
-from qrstab.gf2 import Gf2Matrix, pack
-from qrstab.minweight import min_weight_affine, xor_table
+from qrstab.gf2 import Gf2Matrix, pack, unpack
+from qrstab.minweight import min_weight_affine, min_weight_span, xor_table
 from qrstab.numtheory import classify_prime
 from qrstab.symplectic import (SymplecticVector, from_pauli,
                                symplectic_product, to_pauli)
@@ -356,6 +356,31 @@ def test_orbit_scan_matches_all_cosets(name, code, monkeypatch):
     assert got.witness == to_pauli(SymplecticVector(full.a, full.b))
     cosets = 4 ** code.k_logical - 1
     assert offsets == [cosets // 3 if gf4_linear(code) else cosets]
+
+
+def test_multi_word_scan_matches_one_word(make_qcs):
+    # 50 idle qubits in front push the 21 code qubits across the 64-bit word
+    # boundary, so the padded scans take the multi-word branch
+    code = make_qcs(7, removed=(2, 3, 8, 11, 21))
+    n, pad = code.n_qubits, 50
+    sf = standard_form(code)
+    logs = np.array([np.concatenate([v.a, v.b]) for v in sf.logical_x + sf.logical_z])
+    offsets = unpack(xor_table(pack(logs)), 2 * n)[1:16]
+    dense = code.h.to_dense()
+
+    def scans(idle):
+        def halves(rows):
+            zeros = np.zeros((len(rows), idle), dtype=np.uint8)
+            return (pack(np.hstack([zeros, rows[:, :n]])),
+                    pack(np.hstack([zeros, rows[:, n:]])))
+        return (min_weight_affine(*halves(dense), *halves(offsets), n + idle),
+                min_weight_span(*halves(dense), n + idle))
+
+    assert pack(np.zeros((1, n + pad))).shape[1] == 2
+    for one, multi in zip(scans(0), scans(pad)):
+        assert multi.weight == one.weight
+        assert multi.a.tolist() == [0] * pad + one.a.tolist()
+        assert multi.b.tolist() == [0] * pad + one.b.tolist()
 
 
 def test_gf4_13_3_distance_is_certified():

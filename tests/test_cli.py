@@ -156,17 +156,17 @@ def test_build_alist_skips_standard_form(tmp_path, capsys, monkeypatch):
 
 
 def test_build_computes_standard_form_once(capsys, monkeypatch):
-    from qrstab.gf2 import Gf2Matrix
+    from qrstab import analysis
 
-    # the standard form is the only caller that reorders columns for an RREF
-    reorders = []
-    rref = Gf2Matrix.rref
-    monkeypatch.setattr(Gf2Matrix, "rref", lambda self, column_order=None: (
-        reorders.append(column_order is not None) or rref(self, column_order)))
+    # StabilizerCode.standard_form looks the function up at call time
+    calls = []
+    standard_form = analysis.standard_form
+    monkeypatch.setattr(analysis, "standard_form",
+                        lambda code: calls.append(code) or standard_form(code))
     rc, out, _ = run(capsys, "build", "--type", "1", "--p", "37", "--distance", "bound",
                      "--budget", "20000", "--format", "json")
     assert rc == 0 and json.loads(out)["logical_x"]
-    assert sum(reorders) == 1
+    assert len(calls) == 1
 
 
 def test_build_rejects_empty_row_list(capsys):
@@ -216,9 +216,18 @@ def test_tables_3_matches(capsys):
 
 
 def test_tables_2_fast(capsys):
-    rc, out, _ = run(capsys, "tables", "--which", "2", "--budget", "300000")
+    rc, out, _ = run(capsys, "tables", "--which", "2")
     # exact cells match; the two sampled cells pass as labeled upper bounds
     assert rc == 0
+
+
+@pytest.mark.parametrize("option", ["--budget", "--seed"])
+def test_tables_takes_no_search_options(capsys, option):
+    # the harness runs every bounded search at fixed settings
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "--which", "3", option, "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_tables_4_reports_known_mismatches(capsys):
@@ -245,6 +254,7 @@ def test_bounds_check(capsys):
     "build --type 2 --p 13 --variant plus-form",
     "build --type 1 --p 7 --distance bound --budget -5",
     "build --type 1 --p 7 --distance bound --budget 0",
+    "qrset 1048583",
 ])
 def test_bad_input_is_a_one_line_error(capsys, argv):
     rc, _, err = run(capsys, *argv.split())

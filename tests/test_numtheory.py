@@ -42,6 +42,12 @@ def test_rejects_composites_and_two():
         classify_prime((1 << 31) + 11)
 
 
+def test_modulus_limit():
+    # the smallest prime past the 2**20 limit
+    with pytest.raises(UnsupportedModulus):
+        classify_prime(1048583)
+
+
 def test_legendre_examples():
     assert legendre(2, classify_prime(7)) == 1
     assert legendre(12, classify_prime(13)) == 1

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qrstab.analysis import distance_report
+from qrstab.errors import MalformedRecord
 from qrstab.records import CodeRecord, make_record, pauli_text
 
 
@@ -50,6 +51,17 @@ def test_schema_version_checked(make_type1):
     data["schema_version"] = 99
     with pytest.raises(ValueError):
         CodeRecord.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    '{"schema_version": 99}',
+    '{"schema_version": 1}',
+    '[1, 2]',
+], ids=["not-json", "schema-version", "missing-fields", "json-list"])
+def test_malformed_record_is_one_typed_error(text):
+    with pytest.raises(MalformedRecord):
+        CodeRecord.from_json(text)
 
 
 def test_check_matrix_rebuild(make_type1):
