@@ -4,8 +4,11 @@ operators, stabilizer minimum weight, minimum distance, degeneracy.
 Distance conventions: d_dagger is the minimum weight of a nontrivial
 stabilizer element; d_min is the minimum weight over operators that commute
 with every generator but are not themselves stabilizer elements.  Both are
-computed exactly when the relevant space is small enough to enumerate and
-as seeded, budgeted upper bounds otherwise; every value carries its tag.
+exact when the relevant space is small enough to enumerate: a
+Brouwer-Zimmermann lower bound is proven first, and the enumeration stops
+at the first element meeting it, which is the one a full enumeration
+returns.  Otherwise they are seeded, budgeted upper bounds; every value
+carries its tag.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from .code import StabilizerCode
 from .errors import BudgetExhausted, InexactInputs
 from .gf2 import Gf2Matrix, pack, row_reduce, unpack
 from .minweight import (SearchResult, isd_search, low_weight_commuting,
-                        min_weight_affine, min_weight_span, xor_table)
+                        min_weight_affine, min_weight_span, weight_bounds,
+                        xor_table)
 from .symplectic import SymplecticVector, to_pauli
 
 EXACT_DDAG_MAX_M = 28        # enumerate 2^m stabilizer elements up to here
@@ -172,13 +176,15 @@ def d_dagger(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
              seed: int = 0, exact_max_m: int = EXACT_DDAG_MAX_M) -> DistanceValue:
     """Minimum weight of a nontrivial stabilizer element.
 
-    Exact (full 2^m enumeration) for m <= exact_max_m, otherwise a seeded
-    randomized upper bound over the same row space, never above the lightest
-    generator.
+    Exact for m <= exact_max_m: a Brouwer-Zimmermann lower bound, then the
+    2^m enumeration until it meets that bound, which returns the full
+    enumeration's witness.  Otherwise a seeded randomized upper bound over
+    the same row space, never above the lightest generator.
     """
     ha, hb = _halves_dense(code)
     if code.m <= exact_max_m:
-        res = min_weight_span(pack(ha), pack(hb), code.n_qubits)
+        lower, _ = weight_bounds(ha, hb, code.n_qubits, 1 << code.m, gf4=gf4_linear(code))
+        res = min_weight_span(pack(ha), pack(hb), code.n_qubits, stop_at=lower)
         return _result_to_value(res, exact=True)
     res = isd_search(ha, hb, code.n_qubits, budget=budget, seed=seed)
     # a generator is itself a witness
@@ -195,9 +201,13 @@ def d_min(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
     never touches the stabilizer itself.  On a GF(4)-linear stabilizer, omega
     permutes the cosets in orbits of one minimum weight; only each orbit's
     least lambda, where the full scan broke ties, is scanned.  Exact when
-    2N - m is at most EXACT_DMIN_MAX_DUAL, otherwise a seeded information-set
-    upper bound over the normalizer span with stabilizer members filtered
-    out, never above the lightest standard-form logical.
+    2N - m is at most EXACT_DMIN_MAX_DUAL: a Brouwer-Zimmermann lower bound
+    over the normalizer, counting only elements with a nonzero symplectic
+    product with some logical (those outside the stabilizer), then the coset
+    scan until it meets that bound, which returns the full scan's witness.
+    Otherwise a seeded information-set upper bound over the normalizer span
+    with stabilizer members filtered out, never above the lightest
+    standard-form logical.
     """
     if code.trivial:
         raise BudgetExhausted("K = 0: the normalizer equals the stabilizer")
@@ -214,21 +224,24 @@ def d_min(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
     logicals = list(sf.logical_x) + list(sf.logical_z)
     logs_a = np.array([v.a for v in logicals], dtype=np.uint8)
     logs_b = np.array([v.b for v in logicals], dtype=np.uint8)
+    norm_a = np.vstack([ha, logs_a])
+    norm_b = np.vstack([hb, logs_b])
 
     if 2 * n - m <= exact_max_dual:
         # coset offsets in lambda order: combination bit i selects logical i
         lams = np.arange(1, 1 << len(logicals))
-        if gf4_linear(code):
+        gf4 = gf4_linear(code)
+        if gf4:
             img = _omega_on_lambda(logs_a, logs_b)
             lams = lams[(lams < img[lams]) & (lams < img[img[lams]])]
         offsets_a, offsets_b = xor_table(pack(logs_a))[lams], xor_table(pack(logs_b))[lams]
-        res = min_weight_affine(pack(ha), pack(hb), offsets_a, offsets_b, n)
+        products = (norm_a.astype(np.int64) @ logs_b.T + norm_b.astype(np.int64) @ logs_a.T) % 2
+        lower, _ = weight_bounds(norm_a, norm_b, n, len(lams) << m, gf4=gf4,
+                                 tags=products.astype(np.uint8))
+        res = min_weight_affine(pack(ha), pack(hb), offsets_a, offsets_b, n, stop_at=lower)
         return _result_to_value(res, exact=True)
 
     # bounded mode: search the normalizer span, reject stabilizer members
-    norm_a = np.vstack([ha, logs_a])
-    norm_b = np.vstack([hb, logs_b])
-
     res = isd_search(norm_a, norm_b, n, budget=budget, seed=seed,
                      accept=lambda a, b: not _in_stabilizer(code, a, b))
     # a standard-form logical is itself a witness

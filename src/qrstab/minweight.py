@@ -1,16 +1,20 @@
 """Minimum symplectic-weight search engines.
 
-Two regimes:
+Three engines:
 
 * exact enumeration of a whole GF(2) span (or cosets of one) with the
   X and Z halves packed into uint64 words, split meet-in-the-middle so the
-  inner loop is pure vectorized XOR / OR / popcount;
+  inner loop is pure vectorized XOR / OR / popcount; it can stop at the
+  first element meeting a proven lower bound;
+* a Brouwer-Zimmermann lower bound for any additive code: combinations of
+  few rows of several systematic bases on qubit-interleaved columns, with
+  one element per omega-orbit on GF(4)-linear codes;
 * randomized information-set search for spaces too large to enumerate,
   working on qubit-interleaved columns so a systematic basis exposes
   low-weight elements directly.
 
-Both report the achieving vector along with the weight.  All randomness is
-seeded by the caller; identical seeds give identical results.
+The searches report the achieving vector along with the weight.  All
+randomness is seeded by the caller; identical seeds give identical results.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ def xor_table(rows: np.ndarray) -> np.ndarray:
 
 def min_weight_affine(pa: np.ndarray, pb: np.ndarray,
                       offset_a: np.ndarray, offset_b: np.ndarray,
-                      n_qubits: int, exclude_zero: bool = False) -> SearchResult:
+                      n_qubits: int, exclude_zero: bool = False,
+                      stop_at: int = -1) -> SearchResult:
     """Exact minimum symplectic weight over the union of the cosets
     {offset + span(rows)}, one per offset.
 
@@ -59,6 +64,12 @@ def min_weight_affine(pa: np.ndarray, pb: np.ndarray,
     against a table of one half; both tables are built once for all offsets
     and the inner loop touches ``_CHUNK`` elements per vectorized step.  Ties
     go to the first offset, then to the first element in scan order.
+
+    The scan returns after the first step whose minimum is at most
+    ``stop_at``.  With ``stop_at`` a proven lower bound (at most the true
+    minimum) that step holds the first minimum-weight element in scan order,
+    so the result equals the full scan's.  ``evaluated`` counts the elements
+    scanned.
     """
     m, words = pa.shape
     offsets_a, offsets_b = np.atleast_2d(offset_a), np.atleast_2d(offset_b)
@@ -70,9 +81,13 @@ def min_weight_affine(pa: np.ndarray, pb: np.ndarray,
     best_w, best_row, best_i1 = sentinel, 0, 0
     n1, n2 = A1.shape[0], A2.shape[0]
     step = max(1, _CHUNK // n1)
+    scanned = 0
     # scan rows run over (offset, second-half index) pairs, offset-major
     for s in range(0, len(offsets_a) * n2, step):
+        if best_w <= stop_at:
+            break
         k, i2 = np.divmod(np.arange(s, min(s + step, len(offsets_a) * n2)), n2)
+        scanned += len(k) * n1
         a2, b2 = A2[i2] ^ offsets_a[k], B2[i2] ^ offsets_b[k]
         if words == 1:
             a = a2 ^ A1[None, :, 0]
@@ -94,14 +109,16 @@ def min_weight_affine(pa: np.ndarray, pb: np.ndarray,
     va = A2[i2] ^ offsets_a[k] ^ A1[best_i1]
     vb = B2[i2] ^ offsets_b[k] ^ B1[best_i1]
     return SearchResult(best_w, unpack(va, n_qubits)[0], unpack(vb, n_qubits)[0],
-                        evaluated=len(offsets_a) << m)
+                        evaluated=scanned)
 
 
-def min_weight_span(pa: np.ndarray, pb: np.ndarray, n_qubits: int) -> SearchResult:
+def min_weight_span(pa: np.ndarray, pb: np.ndarray, n_qubits: int,
+                    stop_at: int = -1) -> SearchResult:
     """Exact minimum symplectic weight over the nonzero elements of a span."""
     words = pa.shape[1]
     zero = np.zeros(words, dtype=np.uint64)
-    return min_weight_affine(pa, pb, zero, zero, n_qubits, exclude_zero=True)
+    return min_weight_affine(pa, pb, zero, zero, n_qubits, exclude_zero=True,
+                             stop_at=stop_at)
 
 
 def low_weight_commuting(ha: np.ndarray, hb: np.ndarray,
@@ -154,6 +171,11 @@ def _interleave(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _weights(words: np.ndarray) -> np.ndarray:
+    """Symplectic weights of packed rows of interleaved (x_q, z_q) columns."""
+    return np.bitwise_count((words | words >> np.uint64(1)) & _EVEN_BITS).sum(axis=1)
+
+
 def isd_search(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
                budget: int, seed: int, accept=None) -> SearchResult:
     """Randomized low-weight search over the span of the given basis.
@@ -182,7 +204,7 @@ def isd_search(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
         cols = np.stack([2 * perm, 2 * perm + 1], axis=1).ravel()  # pairs, permuted
         reduced = row_reduce(pack(interleaved[:, cols]))[0]
         cands = np.vstack([reduced, reduced[ii] ^ reduced[jj]])
-        w = np.bitwise_count((cands | cands >> np.uint64(1)) & _EVEN_BITS).sum(axis=1)
+        w = _weights(cands)
         w = np.where(w == 0, sentinel, w)
         evaluated += len(cands)
         for idx in np.argsort(w, kind="stable"):
@@ -199,3 +221,128 @@ def isd_search(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
             break
     best.evaluated = evaluated
     return best
+
+
+# ---------------- Brouwer-Zimmermann lower bound ----------------
+
+
+def _information_sets(inter: np.ndarray, tags: np.ndarray,
+                      n_qubits: int) -> list[tuple[int, list[np.ndarray]]]:
+    """Systematic forms of the interleaved basis, each reduced with the
+    qubits that hold no pivot yet first, until no fresh qubit takes one.
+
+    Each form is (overlap, groups): ``overlap`` counts the distinct
+    already-used qubits holding its pivots, and each pivot qubit's group is
+    the packed array of its nonzero row choices, code columns then tag
+    columns: one row, or its X-pivot row, Z-pivot row and their sum.
+    """
+    used = np.zeros(n_qubits, dtype=bool)
+    pad = np.zeros((len(inter), -2 * n_qubits % 64), dtype=np.uint8)  # tags word-aligned
+    sets = []
+    while True:
+        order = np.concatenate([np.flatnonzero(~used), np.flatnonzero(used)])
+        cols = np.stack([2 * order, 2 * order + 1], axis=1).ravel()
+        reduced, pivots, _ = row_reduce(pack(np.hstack([inter[:, cols], pad, tags])))
+        qubits = order[pivots // 2]
+        if used[qubits].all():
+            return sets
+        overlap = len(np.unique(qubits[used[qubits]]))
+        used[qubits] = True
+        groups = []
+        for pos in np.unique(pivots // 2):
+            rows = reduced[np.flatnonzero(pivots // 2 == pos)]
+            groups.append(rows if len(rows) == 1 else np.vstack([rows, rows[0] ^ rows[1]]))
+        sets.append((overlap, groups))
+
+
+def _level_sizes(groups: list[np.ndarray], gf4: bool) -> list[int]:
+    """Entry s is the number of combinations touching s pivot qubits: the
+    coefficients of the product of (1 + c x) over the groups' choice counts
+    c, a third of them past s = 0 when only one element per omega-orbit is
+    formed."""
+    sizes = [1]
+    for g in groups:
+        sizes = [a + len(g) * b for a, b in zip(sizes + [0], [0] + sizes)]
+    return sizes[:1] + [s // 3 for s in sizes[1:]] if gf4 else sizes
+
+
+def _extend(level: tuple[np.ndarray, np.ndarray], groups: list[np.ndarray],
+            size: int, choices: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``size`` combinations touching one more pivot qubit, each after
+    the last one its parent touched, with the first ``choices`` choices
+    there; the parent level is sorted by that last qubit, and so is the
+    result."""
+    words, last = level
+    out = np.empty((size, words.shape[1]), dtype=np.uint64)
+    out_last = np.empty(size, dtype=np.int64)
+    at = 0
+    for g, group in enumerate(groups):
+        parents = words[:np.searchsorted(last, g)]
+        for row in group[:choices]:
+            out[at:at + len(parents)] = parents ^ row
+            out_last[at:at + len(parents)] = g
+            at += len(parents)
+    return out, out_last
+
+
+def weight_bounds(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
+                  cap: int, gf4: bool = False,
+                  tags: np.ndarray | None = None) -> tuple[int, int]:
+    """Brouwer-Zimmermann bounds (lower, upper) on the minimum symplectic
+    weight of the nonzero elements of the span of independent rows
+    (basis_a | basis_b).
+
+    With ``tags`` (one 0/1 row per basis row), only elements whose tags sum
+    to nonzero count: for the normalizer with tags the symplectic products
+    with the logicals, the elements outside the stabilizer.  ``upper`` is the
+    lightest such element seen (N + 1 if none); ``lower == upper`` proves it
+    minimal.
+
+    Information sets come from repeated row reductions (see
+    ``_information_sets``); set j has ``overlap`` O_j.  Level t enumerates,
+    on every set with O_j <= t, each combination touching t of its pivot
+    qubits.  An element not yet seen touches at least t + 1 pivot qubits of
+    each such set, at least t + 1 - O_j of them fresh, and the fresh qubits
+    of the sets are disjoint, so it weighs at least
+    L_t = sum_j max(0, t + 1 - O_j).  Levels rise until L_t reaches
+    ``upper``, or until the next one would take the candidates formed past
+    ``cap``; then ``lower`` is L_t of the last level done.
+
+    ``gf4`` declares the span closed under omega: (x_q, z_q) -> (z_q,
+    x_q + z_q) on every qubit, which keeps weight and the tags' zero-ness.
+    Every pivot qubit then holds an X- and a Z-pivot row, and omega rotates
+    its choices X-row -> Z-row -> both while keeping the touched qubits, so
+    fixing the first touched qubit to its X-row forms one element per orbit.
+    """
+    inter = _interleave(basis_a, basis_b)
+    tags = np.zeros((len(inter), 0), dtype=np.uint8) if tags is None else tags
+    sets = _information_sets(inter, tags, n_qubits)
+    if gf4 and any(len(g) != 3 for _, groups in sets for g in groups):
+        raise InvalidParameters("the span is not closed under omega")
+    code_words = -(-2 * n_qubits // 64)
+    sizes = [_level_sizes(groups, gf4) + [0] * n_qubits for _, groups in sets]
+    width = sets[0][1][0].shape[1] if sets else 0
+    levels = [(np.zeros((1, width), dtype=np.uint64), np.array([-1]))] * len(sets)
+    done = [0] * len(sets)
+    upper = n_qubits + 1
+    formed = 0
+    t, lower = 0, sum(o == 0 for o, _ in sets)
+    while sets and lower < upper:
+        t += 1
+        active = [j for j, (o, _) in enumerate(sets) if o <= t]
+        cost = sum(sum(sizes[j][done[j] + 1:t + 1]) for j in active)
+        if formed + cost > cap:
+            break
+        formed += cost
+        for j in active:
+            for s in range(done[j] + 1, t + 1):
+                levels[j] = _extend(levels[j], sets[j][1], sizes[j][s],
+                                    1 if gf4 and s == 1 else 3)
+                words = levels[j][0]
+                if tags.shape[1]:
+                    words = words[words[:, code_words:].any(axis=1)]
+                if len(words):
+                    upper = min(upper, int(_weights(words[:, :code_words]).min()))
+            done[j] = t
+        lower = sum(max(0, t + 1 - o) for o, _ in sets)
+    return min(lower, upper), upper

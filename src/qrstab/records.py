@@ -8,7 +8,7 @@ the schema version is checked on import, and malformed input raises
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 from .analysis import DistanceValue
@@ -53,7 +53,11 @@ class CodeRecord:
             version = data.get("schema_version")
             if version != SCHEMA_VERSION:
                 raise ValueError(f"unsupported schema_version {version!r}")
-            return cls(**data)
+            record = cls(**data)
+            for f in fields(cls):
+                if not _fits(getattr(record, f.name), f.type):
+                    raise TypeError(f"field {f.name!r} must be {f.type}")
+            return record
         except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
             raise MalformedRecord(str(exc)) from None
 
@@ -64,6 +68,22 @@ class CodeRecord:
         vecs = [from_pauli(s) for s in self.generators]
         dense = np.array([np.concatenate([v.a, v.b]) for v in vecs], dtype=np.uint8)
         return Gf2Matrix.from_dense(dense)
+
+
+_KINDS = {"int": int, "str": str, "bool": bool, "list": list, "dict": dict}
+
+
+def _fits(value: Any, hint: str) -> bool:
+    """True iff a JSON value has the type a field annotation names, such as
+    ``list[int] | None``: list items are checked, bools are not ints."""
+    for alt in hint.split(" | "):
+        base, _, item = alt.partition("[")
+        if base == "None":
+            if value is None:
+                return True
+        elif isinstance(value, _KINDS[base]) and (base != "int" or not isinstance(value, bool)):
+            return base != "list" or all(_fits(v, item[:-1]) for v in value)
+    return False
 
 
 def _distance_dict(v: DistanceValue | None) -> dict[str, Any] | None:

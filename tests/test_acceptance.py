@@ -202,6 +202,21 @@ def test_c3_twentynine_exact(make_type1):
           dm.is_exact and dm.value == 11 and dd.is_exact and dd.value == 12)
 
 
+def test_c3_thirty_seven_exact_past_the_thresholds(make_type1):
+    # 2^36-element spans: the Brouwer-Zimmermann bound lets the scans stop
+    # at their first element of the bound's weight
+    code = make_type1(37)
+    dd = d_dagger(code, exact_max_m=36)
+    dm = d_min(code, exact_max_dual=38)
+    e = listed("I", 37, "d_min", 12)
+    vd, vm = from_pauli(dd.witness), from_pauli(dm.witness)
+    check("C3", f"[[37,1]]: d_dagger {dd.value}/{dd.tag} witness weight {weight(vd)}, "
+          f"d_min {dm.value}/{dm.tag} witness weight {weight(vm)}, listed {e.reproduced}",
+          dd.is_exact and dd.value == weight(vd) == 12 and code.h.in_row_space(_row(vd))
+          and dm.is_exact and dm.value == weight(vm) == e.reproduced == 11
+          and _is_logical(code, vm))
+
+
 @pytest.mark.parametrize("n,p,d_tab", [(9, 37, 12), (13, 53, 15),
                                        (15, 61, 17), (25, 101, 21)])
 def test_c3_large_rows_bounded(n, p, d_tab, make_type1):

@@ -346,9 +346,9 @@ def test_orbit_scan_matches_all_cosets(name, code, monkeypatch):
                              xor_table(pack(logs[:, n:]))[1:], n)
     offsets = []
 
-    def spy(pa, pb, oa, ob, n_qubits):
+    def spy(pa, pb, oa, ob, n_qubits, **kwargs):
         offsets.append(len(oa))
-        return min_weight_affine(pa, pb, oa, ob, n_qubits)
+        return min_weight_affine(pa, pb, oa, ob, n_qubits, **kwargs)
 
     monkeypatch.setattr("qrstab.analysis.min_weight_affine", spy)
     got = d_min(code)

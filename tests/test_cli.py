@@ -133,6 +133,10 @@ GOLDEN_BUILDS = [
      "13fc49cba56a6548d7a75c89e4919152d0a6d63294216c5b6787e181ed7c4701"),
     ("--type 1 --p 13 --distance exact --format json",
      "33dba72eebfa945df97958abe837fb224113d03c00f050949e3fc5c49352c968"),
+    # the K = 5 worked example: exact d_dagger and d_min over 1023 cosets
+    ("--type 2 --p 7 --variant A --layout h1-adj2 --remove 2,3,8,11,21 "
+     "--distance exact --format json",
+     "16f467607d7d8ea52f162c713c73070129aa37b5e5a8b1432ae560a81be0624c"),
 ]
 
 

@@ -64,6 +64,21 @@ def test_malformed_record_is_one_typed_error(text):
         CodeRecord.from_json(text)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("generators", 7), ("n_qubits", "many"), ("n_qubits", True),
+    ("removed_rows", [2, "3"]), ("logical_x", ["XZ", None]), ("layout", 3),
+    ("d_min", [3]), ("degenerate", 0), ("provenance", None),
+])
+def test_mistyped_field_is_malformed(make_type1, name, value):
+    code = make_type1(5)
+    rep = distance_report(code)
+    data = json.loads(make_record(code, "five", rep.d_dagger, rep.d_min,
+                                  rep.degenerate).to_json())
+    data[name] = value
+    with pytest.raises(MalformedRecord, match=name):
+        CodeRecord.from_json(json.dumps(data))
+
+
 def test_check_matrix_rebuild(make_type1):
     code = make_type1(13)
     rec = make_record(code, "thirteen")
