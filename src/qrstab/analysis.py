@@ -4,10 +4,9 @@ operators, stabilizer minimum weight, minimum distance, degeneracy.
 Distance conventions: d_dagger is the minimum weight of a nontrivial
 stabilizer element; d_min is the minimum weight over operators that commute
 with every generator but are not themselves stabilizer elements.  Both are
-exact when the relevant space is small enough to enumerate: a
-Brouwer-Zimmermann lower bound is proven first, and the enumeration stops
-at the first element meeting it, which is the one a full enumeration
-returns.  Otherwise they are seeded, budgeted upper bounds; every value
+exact when the relevant space is small enough: the Brouwer-Zimmermann
+engine, run to completion, returns a lightest element and proves it
+minimal.  Otherwise they are seeded, budgeted upper bounds; every value
 carries its tag.
 """
 
@@ -20,13 +19,11 @@ import numpy as np
 from .code import StabilizerCode
 from .errors import BudgetExhausted, InexactInputs
 from .gf2 import Gf2Matrix, pack, row_reduce, unpack
-from .minweight import (SearchResult, isd_search, low_weight_commuting,
-                        min_weight_affine, min_weight_span, weight_bounds,
-                        xor_table)
+from .minweight import SearchResult, isd_search, low_weight_commuting, weight_bounds
 from .symplectic import SymplecticVector, to_pauli
 
-EXACT_DDAG_MAX_M = 28        # enumerate 2^m stabilizer elements up to here
-EXACT_DMIN_MAX_DUAL = 30     # enumerate 2^(2N-m) normalizer elements up to here
+EXACT_DDAG_MAX_M = 28        # exact over the 2^m stabilizer elements up to here
+EXACT_DMIN_MAX_DUAL = 30     # exact over the 2^(2N-m) normalizer elements up to here
 DEFAULT_BUDGET = 10_000_000
 EXACT = "exact"
 UPPER_BOUND = "upper_bound"
@@ -146,17 +143,6 @@ def gf4_linear(code: StabilizerCode) -> bool:
     return code.h.in_row_space(code.h2.hstack(code.h1 + code.h2))
 
 
-def _omega_on_lambda(logs_a: np.ndarray, logs_b: np.ndarray) -> np.ndarray:
-    """Entry lam is omega(lam) for an omega-closed stabilizer, bit i of lam
-    selecting row i of the logicals X_1..X_K, Z_1..Z_K.  The X_j bit of
-    omega(L_i) is <omega(L_i), Z_j> and its Z_j bit <omega(L_i), X_j>.
-    As 1 + omega + omega^2 = 0, no nonzero lam is fixed."""
-    k = len(logs_a) // 2
-    wa, wb = logs_b.astype(np.int64), (logs_a ^ logs_b).astype(np.int64)
-    prod = (wa @ logs_b.T + wb @ logs_a.T) % 2   # <omega(L_i), L_j>
-    return xor_table(pack(np.hstack([prod[:, k:], prod[:, :k]])))[:, 0].astype(np.int64)
-
-
 def _result_to_value(res: SearchResult, exact: bool) -> DistanceValue:
     witness = to_pauli(SymplecticVector(res.a, res.b))
     return DistanceValue(res.weight, EXACT if exact else UPPER_BOUND, witness)
@@ -176,15 +162,16 @@ def d_dagger(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
              seed: int = 0, exact_max_m: int = EXACT_DDAG_MAX_M) -> DistanceValue:
     """Minimum weight of a nontrivial stabilizer element.
 
-    Exact for m <= exact_max_m: a Brouwer-Zimmermann lower bound, then the
-    2^m enumeration until it meets that bound, which returns the full
-    enumeration's witness.  Otherwise a seeded randomized upper bound over
-    the same row space, never above the lightest generator.
+    Exact for m <= exact_max_m: the Brouwer-Zimmermann engine's lightest
+    element of the 2^m-element span, one per omega-orbit on a GF(4)-linear
+    stabilizer.  Otherwise a seeded randomized upper bound over the same row
+    space, never above the lightest generator.
     """
+    if code.m == 0:
+        raise BudgetExhausted("m = 0: the stabilizer has no nontrivial element")
     ha, hb = _halves_dense(code)
     if code.m <= exact_max_m:
-        lower, _ = weight_bounds(ha, hb, code.n_qubits, 1 << code.m, gf4=gf4_linear(code))
-        res = min_weight_span(pack(ha), pack(hb), code.n_qubits, stop_at=lower)
+        _, res = weight_bounds(ha, hb, code.n_qubits, gf4=gf4_linear(code))
         return _result_to_value(res, exact=True)
     res = isd_search(ha, hb, code.n_qubits, budget=budget, seed=seed)
     # a generator is itself a witness
@@ -196,23 +183,18 @@ def d_min(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
     """Minimum weight over the normalizer minus the stabilizer.
 
     The normalizer is the symplectic dual of the row space, of dimension
-    2N - m; its elements split into cosets of the stabilizer indexed by the
-    2^(2K) - 1 nonzero logical combinations, so enumerating coset by coset
-    never touches the stabilizer itself.  On a GF(4)-linear stabilizer, omega
-    permutes the cosets in orbits of one minimum weight; only each orbit's
-    least lambda, where the full scan broke ties, is scanned.  Exact when
-    2N - m is at most EXACT_DMIN_MAX_DUAL: a Brouwer-Zimmermann lower bound
-    over the normalizer, counting only elements with a nonzero symplectic
-    product with some logical (those outside the stabilizer), then the coset
-    scan until it meets that bound, which returns the full scan's witness.
-    Otherwise a seeded information-set upper bound over the normalizer span
-    with stabilizer members filtered out, never above the lightest
-    standard-form logical.
+    2N - m, spanned by the generators and the standard-form logicals; an
+    element lies outside the stabilizer iff its symplectic product with some
+    logical is nonzero.  A weight <= 2 pre-scan settles the distance first
+    when it can.  Exact when 2N - m is at most EXACT_DMIN_MAX_DUAL: the
+    Brouwer-Zimmermann engine over the normalizer, counting only elements
+    outside the stabilizer, returns a lightest one.  Otherwise a seeded
+    information-set upper bound over the normalizer span with stabilizer
+    members filtered out, never above the lightest standard-form logical.
     """
     if code.trivial:
         raise BudgetExhausted("K = 0: the normalizer equals the stabilizer")
     n = code.n_qubits
-    m = code.m
     ha, hb = _halves_dense(code)
 
     # exact pre-scan: if a weight <= 2 commuting non-stabilizer element
@@ -227,18 +209,10 @@ def d_min(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
     norm_a = np.vstack([ha, logs_a])
     norm_b = np.vstack([hb, logs_b])
 
-    if 2 * n - m <= exact_max_dual:
-        # coset offsets in lambda order: combination bit i selects logical i
-        lams = np.arange(1, 1 << len(logicals))
-        gf4 = gf4_linear(code)
-        if gf4:
-            img = _omega_on_lambda(logs_a, logs_b)
-            lams = lams[(lams < img[lams]) & (lams < img[img[lams]])]
-        offsets_a, offsets_b = xor_table(pack(logs_a))[lams], xor_table(pack(logs_b))[lams]
+    if 2 * n - code.m <= exact_max_dual:
         products = (norm_a.astype(np.int64) @ logs_b.T + norm_b.astype(np.int64) @ logs_a.T) % 2
-        lower, _ = weight_bounds(norm_a, norm_b, n, len(lams) << m, gf4=gf4,
-                                 tags=products.astype(np.uint8))
-        res = min_weight_affine(pack(ha), pack(hb), offsets_a, offsets_b, n, stop_at=lower)
+        _, res = weight_bounds(norm_a, norm_b, n, gf4=gf4_linear(code),
+                               tags=products.astype(np.uint8))
         return _result_to_value(res, exact=True)
 
     # bounded mode: search the normalizer span, reject stabilizer members

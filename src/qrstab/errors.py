@@ -54,7 +54,8 @@ class InexactInputs(QrstabError):
 
 
 class BudgetExhausted(QrstabError):
-    """d_min was asked of a K = 0 code, whose normalizer is its stabilizer."""
+    """A distance was asked over an empty set: d_min of a K = 0 code, whose
+    normalizer is its stabilizer, or d_dagger of a code with no generators."""
 
 
 class MalformedAlist(QrstabError):

@@ -1,17 +1,17 @@
 """Minimum symplectic-weight search engines.
 
-Three engines:
+Two engines and a reference scan:
 
-* exact enumeration of a whole GF(2) span (or cosets of one) with the
-  X and Z halves packed into uint64 words, split meet-in-the-middle so the
-  inner loop is pure vectorized XOR / OR / popcount; it can stop at the
-  first element meeting a proven lower bound;
-* a Brouwer-Zimmermann lower bound for any additive code: combinations of
-  few rows of several systematic bases on qubit-interleaved columns, with
-  one element per omega-orbit on GF(4)-linear codes;
+* the Brouwer-Zimmermann engine for any additive code: combinations of few
+  rows of several systematic bases on qubit-interleaved columns, with one
+  element per omega-orbit on GF(4)-linear codes; run to completion it
+  returns a lightest element and proves it minimal;
 * randomized information-set search for spaces too large to enumerate,
   working on qubit-interleaved columns so a systematic basis exposes
-  low-weight elements directly.
+  low-weight elements directly;
+* a full meet-in-the-middle scan of cosets of a span, with the X and Z
+  halves packed into uint64 words; no distance uses it, it is the
+  reference the engine is tested against.
 
 The searches report the achieving vector along with the weight.  All
 randomness is seeded by the caller; identical seeds give identical results.
@@ -19,6 +19,7 @@ randomness is seeded by the caller; identical seeds give identical results.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
@@ -53,10 +54,9 @@ def xor_table(rows: np.ndarray) -> np.ndarray:
 
 def min_weight_affine(pa: np.ndarray, pb: np.ndarray,
                       offset_a: np.ndarray, offset_b: np.ndarray,
-                      n_qubits: int, exclude_zero: bool = False,
-                      stop_at: int = -1) -> SearchResult:
+                      n_qubits: int) -> SearchResult:
     """Exact minimum symplectic weight over the union of the cosets
-    {offset + span(rows)}, one per offset.
+    {offset + span(rows)}, one per offset, by scanning every element.
 
     pa, pb: (m, words) packed X/Z halves of the basis rows; offset_a,
     offset_b: one (words,) offset or a (c, words) stack of them.  Splits the
@@ -64,61 +64,31 @@ def min_weight_affine(pa: np.ndarray, pb: np.ndarray,
     against a table of one half; both tables are built once for all offsets
     and the inner loop touches ``_CHUNK`` elements per vectorized step.  Ties
     go to the first offset, then to the first element in scan order.
-
-    The scan returns after the first step whose minimum is at most
-    ``stop_at``.  With ``stop_at`` a proven lower bound (at most the true
-    minimum) that step holds the first minimum-weight element in scan order,
-    so the result equals the full scan's.  ``evaluated`` counts the elements
-    scanned.
+    ``evaluated`` counts the elements scanned.
     """
-    m, words = pa.shape
     offsets_a, offsets_b = np.atleast_2d(offset_a), np.atleast_2d(offset_b)
-    t1 = m // 2
+    t1 = len(pa) // 2
     A1, B1 = xor_table(pa[:t1]), xor_table(pb[:t1])
     A2, B2 = xor_table(pa[t1:]), xor_table(pb[t1:])
-    # uint8 popcounts cap at 64 per word; multi-word sums fit uint32
-    sentinel = 255 if words == 1 else (1 << 31) - 1
-    best_w, best_row, best_i1 = sentinel, 0, 0
+    best_w, best_row, best_i1 = n_qubits + 1, 0, 0
     n1, n2 = A1.shape[0], A2.shape[0]
     step = max(1, _CHUNK // n1)
-    scanned = 0
     # scan rows run over (offset, second-half index) pairs, offset-major
     for s in range(0, len(offsets_a) * n2, step):
-        if best_w <= stop_at:
-            break
         k, i2 = np.divmod(np.arange(s, min(s + step, len(offsets_a) * n2)), n2)
-        scanned += len(k) * n1
         a2, b2 = A2[i2] ^ offsets_a[k], B2[i2] ^ offsets_b[k]
-        if words == 1:
-            a = a2 ^ A1[None, :, 0]
-            b = b2 ^ B1[None, :, 0]
-            np.bitwise_or(a, b, out=a)
-            w = np.bitwise_count(a)
-        else:
-            a = a2[:, None, :] ^ A1[None, :, :]
-            b = b2[:, None, :] ^ B1[None, :, :]
-            np.bitwise_or(a, b, out=a)
-            w = np.bitwise_count(a).sum(axis=-1, dtype=np.uint32)
-        if exclude_zero:
-            w[w == 0] = sentinel
+        a = a2[:, None, :] ^ A1[None, :, :]
+        b = b2[:, None, :] ^ B1[None, :, :]
+        np.bitwise_or(a, b, out=a)
+        w = np.bitwise_count(a).sum(axis=-1, dtype=np.uint32)
         idx = np.unravel_index(int(np.argmin(w)), w.shape)
-        wm = int(w[idx])
-        if wm < best_w:
-            best_w, best_row, best_i1 = wm, s + int(idx[0]), int(idx[1])
+        if w[idx] < best_w:
+            best_w, best_row, best_i1 = int(w[idx]), s + int(idx[0]), int(idx[1])
     k, i2 = divmod(best_row, n2)
     va = A2[i2] ^ offsets_a[k] ^ A1[best_i1]
     vb = B2[i2] ^ offsets_b[k] ^ B1[best_i1]
     return SearchResult(best_w, unpack(va, n_qubits)[0], unpack(vb, n_qubits)[0],
-                        evaluated=scanned)
-
-
-def min_weight_span(pa: np.ndarray, pb: np.ndarray, n_qubits: int,
-                    stop_at: int = -1) -> SearchResult:
-    """Exact minimum symplectic weight over the nonzero elements of a span."""
-    words = pa.shape[1]
-    zero = np.zeros(words, dtype=np.uint64)
-    return min_weight_affine(pa, pb, zero, zero, n_qubits, exclude_zero=True,
-                             stop_at=stop_at)
+                        evaluated=len(offsets_a) * n1 * n2)
 
 
 def low_weight_commuting(ha: np.ndarray, hb: np.ndarray,
@@ -171,6 +141,17 @@ def _interleave(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _deinterleave(word: np.ndarray, order: np.ndarray,
+                  n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (a, b) of one packed row whose interleaved columns hold the
+    qubits in ``order``: x_order[i] at column 2i, z_order[i] at 2i + 1."""
+    bits = unpack(word, 2 * n_qubits)[0]
+    a = np.empty(n_qubits, dtype=np.uint8)
+    b = np.empty(n_qubits, dtype=np.uint8)
+    a[order], b[order] = bits[0::2], bits[1::2]
+    return a, b
+
+
 def _weights(words: np.ndarray) -> np.ndarray:
     """Symplectic weights of packed rows of interleaved (x_q, z_q) columns."""
     return np.bitwise_count((words | words >> np.uint64(1)) & _EVEN_BITS).sum(axis=1)
@@ -211,10 +192,7 @@ def isd_search(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
             wm = int(w[idx])
             if wm >= best.weight:
                 break
-            bits = unpack(cands[idx], 2 * n_qubits)[0]
-            a = np.empty(n_qubits, dtype=np.uint8)
-            b = np.empty(n_qubits, dtype=np.uint8)
-            a[perm], b[perm] = bits[0::2], bits[1::2]
+            a, b = _deinterleave(cands[idx], perm, n_qubits)
             if accept is not None and not accept(a, b):
                 continue
             best = SearchResult(wm, a, b)
@@ -223,18 +201,19 @@ def isd_search(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
     return best
 
 
-# ---------------- Brouwer-Zimmermann lower bound ----------------
+# ---------------- Brouwer-Zimmermann engine ----------------
 
 
 def _information_sets(inter: np.ndarray, tags: np.ndarray,
-                      n_qubits: int) -> list[tuple[int, list[np.ndarray]]]:
+                      n_qubits: int) -> list[tuple[int, np.ndarray, list[np.ndarray]]]:
     """Systematic forms of the interleaved basis, each reduced with the
     qubits that hold no pivot yet first, until no fresh qubit takes one.
 
-    Each form is (overlap, groups): ``overlap`` counts the distinct
-    already-used qubits holding its pivots, and each pivot qubit's group is
-    the packed array of its nonzero row choices, code columns then tag
-    columns: one row, or its X-pivot row, Z-pivot row and their sum.
+    Each form is (overlap, order, groups): ``overlap`` counts the distinct
+    already-used qubits holding its pivots, ``order`` is the qubit order of
+    its columns, and each pivot qubit's group is the packed array of its
+    nonzero row choices, code columns then tag columns: one row, or its
+    X-pivot row, Z-pivot row and their sum.
     """
     used = np.zeros(n_qubits, dtype=bool)
     pad = np.zeros((len(inter), -2 * n_qubits % 64), dtype=np.uint8)  # tags word-aligned
@@ -252,7 +231,7 @@ def _information_sets(inter: np.ndarray, tags: np.ndarray,
         for pos in np.unique(pivots // 2):
             rows = reduced[np.flatnonzero(pivots // 2 == pos)]
             groups.append(rows if len(rows) == 1 else np.vstack([rows, rows[0] ^ rows[1]]))
-        sets.append((overlap, groups))
+        sets.append((overlap, order, groups))
 
 
 def _level_sizes(groups: list[np.ndarray], gf4: bool) -> list[int]:
@@ -286,17 +265,21 @@ def _extend(level: tuple[np.ndarray, np.ndarray], groups: list[np.ndarray],
 
 
 def weight_bounds(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
-                  cap: int, gf4: bool = False,
-                  tags: np.ndarray | None = None) -> tuple[int, int]:
-    """Brouwer-Zimmermann bounds (lower, upper) on the minimum symplectic
-    weight of the nonzero elements of the span of independent rows
-    (basis_a | basis_b).
+                  cap: float = math.inf, gf4: bool = False,
+                  tags: np.ndarray | None = None) -> tuple[int, SearchResult]:
+    """Brouwer-Zimmermann bounds on the minimum symplectic weight of the
+    nonzero elements of the span of independent rows (basis_a | basis_b):
+    ``(lower, lightest)``, where ``lightest`` is the lightest element formed
+    and its weight ``upper`` (N + 1 and the zero vector if none).
+    ``lower == upper`` proves it minimal, which always holds without a
+    ``cap``.  Ties go to the first lightest element formed: t rises, each t
+    takes the information sets in order, each set its new levels in rising
+    order, and each level its rows in level order.  ``lightest.evaluated``
+    counts the elements formed.
 
     With ``tags`` (one 0/1 row per basis row), only elements whose tags sum
     to nonzero count: for the normalizer with tags the symplectic products
-    with the logicals, the elements outside the stabilizer.  ``upper`` is the
-    lightest such element seen (N + 1 if none); ``lower == upper`` proves it
-    minimal.
+    with the logicals, the elements outside the stabilizer.
 
     Information sets come from repeated row reductions (see
     ``_information_sets``); set j has ``overlap`` O_j.  Level t enumerates,
@@ -305,7 +288,7 @@ def weight_bounds(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
     each such set, at least t + 1 - O_j of them fresh, and the fresh qubits
     of the sets are disjoint, so it weighs at least
     L_t = sum_j max(0, t + 1 - O_j).  Levels rise until L_t reaches
-    ``upper``, or until the next one would take the candidates formed past
+    ``upper``, or until the next one would take the elements formed past
     ``cap``; then ``lower`` is L_t of the last level done.
 
     ``gf4`` declares the span closed under omega: (x_q, z_q) -> (z_q,
@@ -317,32 +300,38 @@ def weight_bounds(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
     inter = _interleave(basis_a, basis_b)
     tags = np.zeros((len(inter), 0), dtype=np.uint8) if tags is None else tags
     sets = _information_sets(inter, tags, n_qubits)
-    if gf4 and any(len(g) != 3 for _, groups in sets for g in groups):
+    if gf4 and any(len(g) != 3 for _, _, groups in sets for g in groups):
         raise InvalidParameters("the span is not closed under omega")
     code_words = -(-2 * n_qubits // 64)
-    sizes = [_level_sizes(groups, gf4) + [0] * n_qubits for _, groups in sets]
-    width = sets[0][1][0].shape[1] if sets else 0
+    sizes = [_level_sizes(groups, gf4) + [0] * n_qubits for _, _, groups in sets]
+    width = sets[0][2][0].shape[1] if sets else 0
     levels = [(np.zeros((1, width), dtype=np.uint64), np.array([-1]))] * len(sets)
     done = [0] * len(sets)
-    upper = n_qubits + 1
+    zero = np.zeros(n_qubits, dtype=np.uint8)
+    best = SearchResult(n_qubits + 1, zero, zero)
     formed = 0
-    t, lower = 0, sum(o == 0 for o, _ in sets)
-    while sets and lower < upper:
+    t, lower = 0, sum(o == 0 for o, _, _ in sets)
+    while sets and lower < best.weight:
         t += 1
-        active = [j for j, (o, _) in enumerate(sets) if o <= t]
+        active = [j for j, (o, _, _) in enumerate(sets) if o <= t]
         cost = sum(sum(sizes[j][done[j] + 1:t + 1]) for j in active)
         if formed + cost > cap:
             break
         formed += cost
         for j in active:
+            _, order, groups = sets[j]
             for s in range(done[j] + 1, t + 1):
-                levels[j] = _extend(levels[j], sets[j][1], sizes[j][s],
+                levels[j] = _extend(levels[j], groups, sizes[j][s],
                                     1 if gf4 and s == 1 else 3)
-                words = levels[j][0]
+                words = levels[j][0][:, :code_words]
                 if tags.shape[1]:
-                    words = words[words[:, code_words:].any(axis=1)]
+                    words = words[levels[j][0][:, code_words:].any(axis=1)]
                 if len(words):
-                    upper = min(upper, int(_weights(words[:, :code_words]).min()))
+                    w = _weights(words)
+                    i = int(np.argmin(w))
+                    if w[i] < best.weight:
+                        best = SearchResult(int(w[i]), *_deinterleave(words[i], order, n_qubits))
             done[j] = t
-        lower = sum(max(0, t + 1 - o) for o, _ in sets)
-    return min(lower, upper), upper
+        lower = sum(max(0, t + 1 - o) for o, _, _ in sets)
+    best.evaluated = formed
+    return min(lower, best.weight), best

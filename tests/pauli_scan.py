@@ -1,9 +1,9 @@
 """Brute-force enumeration of Pauli operators by weight.
 
 Every symplectic vector up to a weight cap is built directly and checked for
-commutation and stabilizer membership.  The distance engines enumerate
-normalizer cosets meet-in-the-middle instead; the two paths share no
-enumeration code, so agreement between them certifies a distance.
+commutation and stabilizer membership.  The distance engines combine rows
+of systematic bases instead; the two paths share no enumeration code, so
+agreement between them certifies a distance.
 """
 
 from itertools import combinations, islice
@@ -63,6 +63,19 @@ def lightest_logical_weight(code, wmax):
             if not code.h.in_row_space(row):
                 return w
     return None
+
+
+def witness_holds(code, pauli, weight, in_stabilizer):
+    """True iff the Pauli string has symplectic weight ``weight``, commutes
+    with every generator, and lies in the stabilizer exactly when
+    ``in_stabilizer``."""
+    a = np.array([c in "XY" for c in pauli], dtype=np.uint8)
+    b = np.array([c in "ZY" for c in pauli], dtype=np.uint8)
+    n = code.n_qubits
+    dense = code.h.to_dense()
+    commutes = not ((dense[:, :n] @ b + dense[:, n:] @ a) % 2).any()
+    inside = code.h.in_row_space(Gf2Matrix.from_dense(np.concatenate([a, b])[None, :]))
+    return int((a | b).sum()) == weight and commutes and inside == in_stabilizer
 
 
 def certify_distance(code, d):

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from pauli_scan import certify_distance, lightest_logical_weight
+from pauli_scan import certify_distance, lightest_logical_weight, witness_holds
 from qrstab.analysis import (DistanceValue, classify_degeneracy, d_dagger,
                              d_min, distance_report, gf4_linear, standard_form)
 from qrstab.code import StabilizerCode
 from qrstab.errors import (BudgetExhausted, DependentRows, InexactInputs,
                            InvalidParameters)
-from qrstab.gf2 import Gf2Matrix, pack, unpack
-from qrstab.minweight import min_weight_affine, min_weight_span, xor_table
+from qrstab.gf2 import Gf2Matrix, pack
+from qrstab.minweight import min_weight_affine, weight_bounds, xor_table
 from qrstab.numtheory import classify_prime
 from qrstab.symplectic import (SymplecticVector, from_pauli,
                                symplectic_product, to_pauli)
@@ -230,6 +230,14 @@ def test_trivial_code_has_no_distance(make_type1):
         d_min(make_type1(11))
 
 
+@pytest.mark.parametrize("exact_max_m", [28, -1], ids=["exact", "bound"])
+def test_code_without_generators_has_no_d_dagger(make_qcs, exact_max_m):
+    code = make_qcs(5, removed=tuple(range(1, 11)))
+    assert code.m == 0 and code.k_logical == code.n_qubits
+    with pytest.raises(BudgetExhausted):
+        d_dagger(code, budget=1000, exact_max_m=exact_max_m)
+
+
 def test_classify_degeneracy():
     def dv(v, tag="exact"):
         return DistanceValue(v, tag, "I")
@@ -336,7 +344,9 @@ def test_gf4_linear_qcs(p, variant):
 
 @pytest.mark.parametrize("name,code", list(_codes_for_orbit_scan()),
                          ids=[name for name, _ in _codes_for_orbit_scan()])
-def test_orbit_scan_matches_all_cosets(name, code, monkeypatch):
+def test_orbit_scan_matches_all_cosets(name, code):
+    # d_min forms one element per omega-orbit on the GF(4)-linear codes; the
+    # reference scans every element of all 4^K - 1 logical cosets
     n = code.n_qubits
     sf = standard_form(code)
     logs = np.array([np.concatenate([v.a, v.b]) for v in sf.logical_x + sf.logical_z])
@@ -344,40 +354,29 @@ def test_orbit_scan_matches_all_cosets(name, code, monkeypatch):
     full = min_weight_affine(pack(dense[:, :n]), pack(dense[:, n:]),
                              xor_table(pack(logs[:, :n]))[1:],
                              xor_table(pack(logs[:, n:]))[1:], n)
-    offsets = []
-
-    def spy(pa, pb, oa, ob, n_qubits, **kwargs):
-        offsets.append(len(oa))
-        return min_weight_affine(pa, pb, oa, ob, n_qubits, **kwargs)
-
-    monkeypatch.setattr("qrstab.analysis.min_weight_affine", spy)
     got = d_min(code)
-    assert got.value == full.weight
-    assert got.witness == to_pauli(SymplecticVector(full.a, full.b))
-    cosets = 4 ** code.k_logical - 1
-    assert offsets == [cosets // 3 if gf4_linear(code) else cosets]
+    assert (got.value, got.tag) == (full.weight, "exact")
+    assert witness_holds(code, got.witness, got.value, in_stabilizer=False)
 
 
 def test_multi_word_scan_matches_one_word(make_qcs):
     # 50 idle qubits in front push the 21 code qubits across the 64-bit word
-    # boundary, so the padded scans take the multi-word branch
+    # boundary, so the padded engine works on multi-word rows
     code = make_qcs(7, removed=(2, 3, 8, 11, 21))
     n, pad = code.n_qubits, 50
     sf = standard_form(code)
     logs = np.array([np.concatenate([v.a, v.b]) for v in sf.logical_x + sf.logical_z])
-    offsets = unpack(xor_table(pack(logs)), 2 * n)[1:16]
-    dense = code.h.to_dense()
+    rows = np.vstack([code.h.to_dense(), logs])
+    tags = (rows[:, :n] @ logs[:, n:].T + rows[:, n:] @ logs[:, :n].T) % 2
 
-    def scans(idle):
-        def halves(rows):
-            zeros = np.zeros((len(rows), idle), dtype=np.uint8)
-            return (pack(np.hstack([zeros, rows[:, :n]])),
-                    pack(np.hstack([zeros, rows[:, n:]])))
-        return (min_weight_affine(*halves(dense), *halves(offsets), n + idle),
-                min_weight_span(*halves(dense), n + idle))
+    def lightest(idle):
+        zeros = np.zeros((len(rows), idle), dtype=np.uint8)
+        a, b = np.hstack([zeros, rows[:, :n]]), np.hstack([zeros, rows[:, n:]])
+        return (weight_bounds(a[:code.m], b[:code.m], n + idle)[1],
+                weight_bounds(a, b, n + idle, tags=tags)[1])
 
-    assert pack(np.zeros((1, n + pad))).shape[1] == 2
-    for one, multi in zip(scans(0), scans(pad)):
+    assert 2 * n <= 64 < 2 * (n + pad)
+    for one, multi in zip(lightest(0), lightest(pad)):
         assert multi.weight == one.weight
         assert multi.a.tolist() == [0] * pad + one.a.tolist()
         assert multi.b.tolist() == [0] * pad + one.b.tolist()

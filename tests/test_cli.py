@@ -3,7 +3,10 @@ import json
 
 import pytest
 
+from pauli_scan import witness_holds
 from qrstab.cli import main
+from qrstab.code import StabilizerCode
+from qrstab.records import CodeRecord
 
 
 def run(capsys, *argv):
@@ -102,7 +105,7 @@ GOLDEN_BUILDS = [
      "1cabc802148224dc47da1d7325aae9d1ef43e7079ba5f23944d362a795369311"),
     ("--type 2 --p 7 --variant A --layout adj1-h2 --remove 7,11,12,14,15,21 "
      "--distance exact --format json",
-     "e34d450c1bf80dac325e3bde8cca71655f5e995f72dc09bece100fecd59b153b"),
+     "3a00a38948de9666ac5390b4b19d22990f4c62adc7a160db5f47d3bb4d9d7950"),
     ("--type 1 --p 37 --distance bound --budget 300000 --seed 0 --format json",
      "4a8f5274774437685d1fe491d928a0f0c9a04331c9b04cdb2682047f51868bd6"),
     ("--type 1 --p 101 --distance bound --budget 300000 --seed 0 --format json",
@@ -128,15 +131,15 @@ GOLDEN_BUILDS = [
     # the forced even-n plus form
     ("--type 1 --p 17 --force --format json",
      "207be3686cea759a69f252905e4f1ee9c877b64204b0365f3f237fc20032da27"),
-    # exact d_min witnesses of GF(4)-linear codes, found by the all-cosets scan
+    # exact witnesses of GF(4)-linear codes, one element per omega-orbit formed
     ("--type 1 --p 29 --distance exact --format json",
-     "13fc49cba56a6548d7a75c89e4919152d0a6d63294216c5b6787e181ed7c4701"),
+     "d00e0069bead7310eff5fde13260697e2450aa8620143123b6b408ca2cbee5a0"),
     ("--type 1 --p 13 --distance exact --format json",
-     "33dba72eebfa945df97958abe837fb224113d03c00f050949e3fc5c49352c968"),
-    # the K = 5 worked example: exact d_dagger and d_min over 1023 cosets
+     "4192c8b7a47b9ec709ecb776f9ac9958d66aa19f979ae96215f52d7aa9867f0d"),
+    # the K = 5 worked example: exact d_dagger and d_min
     ("--type 2 --p 7 --variant A --layout h1-adj2 --remove 2,3,8,11,21 "
      "--distance exact --format json",
-     "16f467607d7d8ea52f162c713c73070129aa37b5e5a8b1432ae560a81be0624c"),
+     "5af32c9e1e4c97298ce3847bbe2b6497862dd5731cd048addef42a02b20d05e5"),
 ]
 
 
@@ -146,6 +149,21 @@ def test_build_output_is_unchanged(tmp_path, capsys, args, digest):
     rc, _, _ = run(capsys, "build", *args.split(), "--out", str(out_path))
     assert rc == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args,digest",
+                         [(a, d) for a, d in GOLDEN_BUILDS if "--distance exact" in a],
+                         ids=[a for a, _ in GOLDEN_BUILDS if "--distance exact" in a])
+def test_golden_exact_witnesses_hold(tmp_path, capsys, args, digest):
+    test_build_output_is_unchanged(tmp_path, capsys, args, digest)
+    text = (tmp_path / "code.out").read_text()
+    rec = json.loads(text)
+    code = StabilizerCode(rec["n_qubits"], CodeRecord.from_json(text).check_matrix(),
+                          family=rec["family"])
+    for field, in_stabilizer in (("d_dagger", True), ("d_min", False)):
+        v = rec[field]
+        assert v["tag"] == "exact"
+        assert witness_holds(code, v["witness"], v["value"], in_stabilizer)
 
 
 def test_build_alist_skips_standard_form(tmp_path, capsys, monkeypatch):
@@ -171,6 +189,15 @@ def test_build_computes_standard_form_once(capsys, monkeypatch):
                      "--budget", "20000", "--format", "json")
     assert rc == 0 and json.loads(out)["logical_x"]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "bound"])
+def test_build_without_generators_is_an_error(capsys, mode):
+    rc, out, err = run(capsys, "build", "--type", "2", "--p", "5", "--variant", "B",
+                       "--remove", "1,2,3,4,5,6,7,8,9,10", "--distance", mode,
+                       "--budget", "1000")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: BudgetExhausted") and err.count("\n") == 1
 
 
 def test_build_rejects_empty_row_list(capsys):

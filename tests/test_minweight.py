@@ -1,42 +1,65 @@
-"""The Brouwer-Zimmermann bound and the early-stopping exact scan, checked
-against brute force and against the full scan."""
+"""The Brouwer-Zimmermann engine, its bounds and its lightest element,
+checked against brute force and against the full scan."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pauli_scan import lightest_logical_weight
+from pauli_scan import lightest_logical_weight, witness_holds
+from qrstab import minweight
 from qrstab.analysis import gf4_linear, standard_form
 from qrstab.code import StabilizerCode
 from qrstab.errors import InvalidParameters
 from qrstab.gf2 import Gf2Matrix, pack
-from qrstab.minweight import (min_weight_affine, min_weight_span, weight_bounds,
-                              xor_table)
+from qrstab.minweight import min_weight_affine, weight_bounds, xor_table
 from qrstab.numtheory import classify_prime
+from qrstab.symplectic import SymplecticVector, to_pauli
 from qrstab.type1 import Type1Spec, Type1Variant, build_type1
 from qrstab.type2 import Layout, QcsSpec, QcsVariant, build_qcs
 
 UNCAPPED = 1 << 40
 
 
+def _combinations(r):
+    """Every nonzero 0/1 selection of r rows, one per row."""
+    return (np.arange(1, 1 << r)[:, None] >> np.arange(r)) & 1
+
+
 def _span_minimum(a, b, tags=None):
     """Lightest nonzero combination of the rows (with nonzero tags, if
     given), by enumerating all 2^r of them; N + 1 if there is none."""
-    r, n = a.shape
-    sel = (np.arange(1, 1 << r)[:, None] >> np.arange(r)) & 1
+    sel = _combinations(len(a))
     wa, wb = sel @ a % 2, sel @ b % 2
     weights = (wa | wb).sum(axis=1)
     if tags is not None:
         weights = weights[(sel @ tags % 2).any(axis=1)]
-    return int(weights.min()) if len(weights) else n + 1
+    return int(weights.min()) if len(weights) else a.shape[1] + 1
+
+
+def _check_element(a, b, res, tags=None):
+    """The engine's element is a nonzero combination of the rows, of weight
+    ``res.weight`` and with nonzero tags if given; the zero vector when the
+    weight is N + 1 (nothing formed counts)."""
+    if res.weight == a.shape[1] + 1:
+        assert not (res.a.any() or res.b.any())
+        return
+    sel = _combinations(len(a))
+    hit = np.flatnonzero(((sel @ a % 2) == res.a).all(axis=1)
+                         & ((sel @ b % 2) == res.b).all(axis=1))
+    assert len(hit) == 1
+    assert int((res.a | res.b).sum()) == res.weight
+    if tags is not None:
+        assert (sel[hit[0]] @ tags % 2).any()
 
 
 def _check_bounds(a, b, n, cap, brute, **kwargs):
-    lower, upper = weight_bounds(a, b, n, cap, **kwargs)
+    lower, res = weight_bounds(a, b, n, cap, **kwargs)
+    upper = res.weight
     assert lower <= brute <= upper
     if lower == upper or cap == UNCAPPED:
         assert lower == brute == upper
+    _check_element(a, b, res, kwargs.get("tags"))
 
 
 @settings(max_examples=150, deadline=None)
@@ -65,7 +88,9 @@ def test_uncapped_bounds_equal_brute_force_on_denser_spans():
         rows = rows.astype(np.uint8)
         if Gf2Matrix.from_dense(rows).rank() == len(rows):
             a, b = rows[:, :n], rows[:, n:]
-            assert weight_bounds(a, b, n, UNCAPPED) == (_span_minimum(a, b),) * 2
+            lower, res = weight_bounds(a, b, n)
+            assert lower == res.weight == _span_minimum(a, b)
+            _check_element(a, b, res)
             checked += 1
 
 
@@ -93,11 +118,15 @@ def test_code_bounds_match_brute_force(data, p, cap):
     _check_bounds(ha, hb, p, cap, _span_minimum(ha, hb), gf4=gf4)
 
     norm_a, norm_b, tags = _normalizer(code)
-    lower, upper = weight_bounds(norm_a, norm_b, p, cap, gf4=gf4, tags=tags)
+    lower, res = weight_bounds(norm_a, norm_b, p, cap, gf4=gf4, tags=tags)
+    upper = res.weight
     brute = lightest_logical_weight(code, upper)
     assert brute == upper if lower == upper else lower <= brute <= upper
     if cap == UNCAPPED:
         assert lower == upper
+    if upper <= p:
+        assert witness_holds(code, to_pauli(SymplecticVector(res.a, res.b)), upper,
+                             in_stabilizer=False)
 
 
 def _normalizer(code):
@@ -119,12 +148,14 @@ def test_omega_orbits_give_the_same_bounds(p, d_dagger, d_min):
     dense = code.h.to_dense()
     norm_a, norm_b, tags = _normalizer(code)
     for gf4 in (True, False):
-        assert weight_bounds(dense[:, :p], dense[:, p:], p, UNCAPPED, gf4=gf4) == \
-            (d_dagger, d_dagger)
-        assert weight_bounds(norm_a, norm_b, p, UNCAPPED, gf4=gf4, tags=tags) == (d_min, d_min)
+        lower, res = weight_bounds(dense[:, :p], dense[:, p:], p, gf4=gf4)
+        assert (lower, res.weight) == (d_dagger, d_dagger)
+        lower, res = weight_bounds(norm_a, norm_b, p, gf4=gf4, tags=tags)
+        assert (lower, res.weight) == (d_min, d_min)
         # with nothing formed, each element still touches a pivot qubit of
         # each of the two disjoint information sets
-        assert weight_bounds(dense[:, :p], dense[:, p:], p, 0, gf4=gf4) == (2, p + 1)
+        lower, res = weight_bounds(dense[:, :p], dense[:, p:], p, 0, gf4=gf4)
+        assert (lower, res.weight, res.evaluated) == (2, p + 1, 0)
 
 
 def test_gf4_needs_an_omega_closed_span():
@@ -133,13 +164,13 @@ def test_gf4_needs_an_omega_closed_span():
         weight_bounds(qcs_like[:, :2], qcs_like[:, 2:], 2, UNCAPPED, gf4=True)
 
 
-# ---------------- the exact scan's early stop ----------------
+# ---------------- the engine's lightest element ----------------
 
 
 def _worked_example(idle=0):
-    """The [[21,5]] worked example's packed generators and logicals
-    X_1..X_5, Z_1..Z_5; ``idle`` qubits in front push the code qubits across
-    the 64-bit word boundary."""
+    """The [[21,5]] worked example's dense generators and logicals
+    X_1..X_5, Z_1..Z_5, as (X half, Z half) pairs; ``idle`` qubits in front
+    push the code qubits across the 64-bit word boundary."""
     code = build_qcs(QcsSpec(classify_prime(7), QcsVariant.A, Layout("h1-adj2"),
                              (2, 3, 8, 11, 21)))
     n = code.n_qubits
@@ -148,41 +179,54 @@ def _worked_example(idle=0):
 
     def halves(rows):
         zeros = np.zeros((len(rows), idle), dtype=np.uint8)
-        return (pack(np.hstack([zeros, rows[:, :n]])), pack(np.hstack([zeros, rows[:, n:]])))
+        return np.hstack([zeros, rows[:, :n]]), np.hstack([zeros, rows[:, n:]])
 
     return *halves(code.h.to_dense()), *halves(logs), n + idle
 
 
 @pytest.mark.parametrize("idle", [0, 50], ids=["one-word", "multi-word"])
-def test_stop_at_a_lower_bound_gives_the_full_scan(idle):
-    pa, pb, la, lb, n = _worked_example(idle)
-    assert pa.shape[1] == (1 if idle == 0 else 2)
-    # 63 logical cosets, last first, and the span of H with X_1..X_4: in
-    # both the first minimum-weight element lies past the first step
-    oa, ob = xor_table(la[:6])[:0:-1], xor_table(lb[:6])[:0:-1]
-    sa, sb = np.vstack([pa, la[:4]]), np.vstack([pb, lb[:4]])
-    scans = [lambda **kw: min_weight_affine(pa, pb, oa, ob, n, **kw),
-             lambda **kw: min_weight_span(sa, sb, n, **kw)]
-    for scan in scans:
-        full = scan()
-        assert full.weight == 5
-        for stop_at in (0, full.weight - 1, full.weight):
-            got = scan(stop_at=stop_at)
-            assert (got.weight, got.a.tolist(), got.b.tolist()) == \
-                (full.weight, full.a.tolist(), full.b.tolist())
-        assert scan(stop_at=full.weight).evaluated < full.evaluated
+def test_lightest_element_lies_in_the_span(idle):
+    ha, hb, la, lb, n = _worked_example(idle)
+    assert (pack(np.hstack([ha, hb])).shape[1] > 1) == (idle > 0)
+    norm_a, norm_b = np.vstack([ha, la]), np.vstack([hb, lb])
+    # the tags: symplectic products with the logicals, nonzero exactly
+    # outside the stabilizer
+    tags = (norm_a @ lb.T + norm_b @ la.T) % 2
+    for a, b, kwargs, d in ((ha, hb, {}, 8), (norm_a, norm_b, {"tags": tags}, 5)):
+        lower, res = weight_bounds(a, b, n, **kwargs)
+        assert lower == res.weight == d
+        assert int((res.a | res.b).sum()) == d
+        element = np.concatenate([res.a, res.b])[None, :]
+        assert Gf2Matrix.from_dense(np.hstack([a, b])).in_row_space(
+            Gf2Matrix.from_dense(element))
+        if kwargs:
+            assert ((res.a @ lb.T + res.b @ la.T) % 2).any()
+        again = weight_bounds(a, b, n, **kwargs)[1]
+        assert (again.a.tolist(), again.b.tolist()) == (res.a.tolist(), res.b.tolist())
 
 
-def test_evaluated_counts_the_elements_scanned():
-    pa, pb, la, lb, n = _worked_example()
-    oa, ob = xor_table(la)[1:], xor_table(lb)[1:]
+def test_evaluated_counts_the_elements_scanned(monkeypatch):
+    ha, hb, la, lb, n = _worked_example()
+    pa, pb = pack(ha), pack(hb)
+    oa, ob = xor_table(pack(la))[1:], xor_table(pack(lb))[1:]
     m = pa.shape[0]
-    step = 1 << 16  # 2^8 second-half rows against the 2^8-row first-half table
     assert min_weight_affine(pa, pb, oa, ob, n).evaluated == len(oa) << m
-    assert min_weight_affine(pa, pb, oa, ob, n, stop_at=-1).evaluated == len(oa) << m
-    # 2^5 second-half rows, fewer than one step holds
-    assert min_weight_span(pa[:10], pb[:10], n).evaluated == 1 << 10
-    # no element weighs more than n, so the first step meets it
-    assert min_weight_affine(pa, pb, oa, ob, n, stop_at=n).evaluated == step
-    reversed_cosets = min_weight_affine(pa, pb, oa[:63][::-1], ob[:63][::-1], n, stop_at=5)
-    assert reversed_cosets.evaluated == 15 * step
+    assert min_weight_affine(pa[:10], pb[:10], oa[0], ob[0], n).evaluated == 1 << 10
+
+    # the engine counts every element of every level it forms
+    formed = []
+    extend = minweight._extend
+
+    def spy(*args):
+        level = extend(*args)
+        formed.append(len(level[0]))
+        return level
+
+    monkeypatch.setattr(minweight, "_extend", spy)
+    norm_a, norm_b = np.vstack([ha, la]), np.vstack([hb, lb])
+    tags = (norm_a @ lb.T + norm_b @ la.T) % 2
+    for a, b, kwargs in ((ha, hb, {}), (norm_a, norm_b, {"tags": tags})):
+        for cap in (UNCAPPED, 1000, 0):
+            formed.clear()
+            res = weight_bounds(a, b, n, cap, **kwargs)[1]
+            assert res.evaluated == sum(formed) <= cap
