@@ -3,11 +3,11 @@ operators, stabilizer minimum weight, minimum distance, degeneracy.
 
 Distance conventions: d_dagger is the minimum weight of a nontrivial
 stabilizer element; d_min is the minimum weight over operators that commute
-with every generator but are not themselves stabilizer elements.  Both are
-exact when the relevant space is small enough: the Brouwer-Zimmermann
-engine, run to completion, returns a lightest element and proves it
-minimal.  Otherwise they are seeded, budgeted upper bounds; every value
-carries its tag.
+with every generator but are not themselves stabilizer elements.  Each is
+exact when proven: the Brouwer-Zimmermann engine, forming at most the
+caller's budget of elements, returns a lightest element formed and a lower
+bound, and the two meet.  Otherwise it is a seeded, budgeted upper bound
+with a witness; every value carries its tag.
 """
 
 from __future__ import annotations
@@ -17,13 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code import StabilizerCode
-from .errors import BudgetExhausted, InexactInputs
+from .errors import BudgetExhausted, InexactInputs, InvalidParameters
 from .gf2 import Gf2Matrix, pack, row_reduce, unpack
 from .minweight import SearchResult, isd_search, low_weight_commuting, weight_bounds
 from .symplectic import SymplecticVector, to_pauli
 
-EXACT_DDAG_MAX_M = 28        # exact over the 2^m stabilizer elements up to here
-EXACT_DMIN_MAX_DUAL = 30     # exact over the 2^(2N-m) normalizer elements up to here
 DEFAULT_BUDGET = 10_000_000
 EXACT = "exact"
 UPPER_BOUND = "upper_bound"
@@ -128,16 +126,6 @@ class DistanceReport:
     seed: int
 
 
-def _halves_dense(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray]:
-    dense = code.h.to_dense()
-    n = code.n_qubits
-    return dense[:, :n], dense[:, n:]
-
-
-def _in_stabilizer(code: StabilizerCode, a: np.ndarray, b: np.ndarray) -> bool:
-    return code.h.in_row_space(Gf2Matrix.from_dense(np.concatenate([a, b])[None, :]))
-
-
 def gf4_linear(code: StabilizerCode) -> bool:
     """True iff the stabilizer is closed under omega: (a | b) -> (b | a ^ b)."""
     return code.h.in_row_space(code.h2.hstack(code.h1 + code.h2))
@@ -148,78 +136,88 @@ def _result_to_value(res: SearchResult, exact: bool) -> DistanceValue:
     return DistanceValue(res.weight, EXACT if exact else UPPER_BOUND, witness)
 
 
-def _lighter_of(res: SearchResult, rows_a: np.ndarray, rows_b: np.ndarray) -> SearchResult:
-    """``res`` or, if strictly lighter, the first lightest of the given rows
-    (each a valid witness), so a bound is never worse than a trivial one."""
-    weights = (rows_a | rows_b).sum(axis=1)
-    i0 = int(np.argmin(weights))
-    if weights[i0] < res.weight:
-        return SearchResult(int(weights[i0]), rows_a[i0], rows_b[i0])
-    return res
+def _distance(code: StabilizerCode, basis_a: np.ndarray, basis_b: np.ndarray,
+              floor_a: np.ndarray, floor_b: np.ndarray, budget: int, seed: int,
+              prove: bool, tags: np.ndarray | None = None) -> DistanceValue:
+    """Least weight of a nonzero element of the span of the basis rows (with
+    ``tags``, of one whose tags sum to nonzero; see ``weight_bounds``).
+
+    With ``prove``, the Brouwer-Zimmermann engine forms at most ``budget``
+    elements; if its lower bound meets the lightest of them, that element is
+    the exact value.  Otherwise the value is an upper bound: the lightest of
+    the engine's element, a seeded information-set search of ``budget``
+    candidates and the first lightest floor row (each a valid witness), ties
+    going to the first in that order.
+    """
+    if budget < 1:
+        raise InvalidParameters(f"budget must be at least 1, got {budget}")
+    found = []
+    if prove:
+        lower, res = weight_bounds(basis_a, basis_b, code.n_qubits, cap=budget,
+                                   gf4=gf4_linear(code), tags=tags)
+        if lower == res.weight:
+            return _result_to_value(res, exact=True)
+        found.append(res)
+    found.append(isd_search(basis_a, basis_b, code.n_qubits, budget=budget,
+                            seed=seed, tags=tags))
+    weights = (floor_a | floor_b).sum(axis=1)
+    i = int(np.argmin(weights))
+    found.append(SearchResult(int(weights[i]), floor_a[i], floor_b[i]))
+    return _result_to_value(min(found, key=lambda r: r.weight), exact=False)
 
 
 def d_dagger(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
-             seed: int = 0, exact_max_m: int = EXACT_DDAG_MAX_M) -> DistanceValue:
+             seed: int = 0, exact_max_m: int | None = None) -> DistanceValue:
     """Minimum weight of a nontrivial stabilizer element.
 
-    Exact for m <= exact_max_m: the Brouwer-Zimmermann engine's lightest
-    element of the 2^m-element span, one per omega-orbit on a GF(4)-linear
-    stabilizer.  Otherwise a seeded randomized upper bound over the same row
-    space, never above the lightest generator.
+    Exact when the Brouwer-Zimmermann engine proves it within ``budget``
+    elements formed (one per omega-orbit on a GF(4)-linear stabilizer);
+    otherwise an upper bound, never above the lightest generator (see
+    ``_distance``).  ``exact_max_m`` skips the proof when m exceeds it: -1
+    gives the search alone.
     """
     if code.m == 0:
         raise BudgetExhausted("m = 0: the stabilizer has no nontrivial element")
-    ha, hb = _halves_dense(code)
-    if code.m <= exact_max_m:
-        _, res = weight_bounds(ha, hb, code.n_qubits, gf4=gf4_linear(code))
-        return _result_to_value(res, exact=True)
-    res = isd_search(ha, hb, code.n_qubits, budget=budget, seed=seed)
-    # a generator is itself a witness
-    return _result_to_value(_lighter_of(res, ha, hb), exact=False)
+    ha, hb = np.hsplit(code.h.to_dense(), 2)
+    return _distance(code, ha, hb, ha, hb, budget, seed,
+                     prove=exact_max_m is None or code.m <= exact_max_m)
 
 
 def d_min(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
-          seed: int = 0, exact_max_dual: int = EXACT_DMIN_MAX_DUAL) -> DistanceValue:
+          seed: int = 0, exact_max_dual: int | None = None) -> DistanceValue:
     """Minimum weight over the normalizer minus the stabilizer.
 
     The normalizer is the symplectic dual of the row space, of dimension
-    2N - m, spanned by the generators and the standard-form logicals; an
-    element lies outside the stabilizer iff its symplectic product with some
-    logical is nonzero.  A weight <= 2 pre-scan settles the distance first
-    when it can.  Exact when 2N - m is at most EXACT_DMIN_MAX_DUAL: the
-    Brouwer-Zimmermann engine over the normalizer, counting only elements
-    outside the stabilizer, returns a lightest one.  Otherwise a seeded
-    information-set upper bound over the normalizer span with stabilizer
-    members filtered out, never above the lightest standard-form logical.
+    2N - m, spanned by the generators and the standard-form logicals.  An
+    element lies outside the stabilizer iff its symplectic products with
+    the logicals, its tags, are not all zero; the pre-scan, the
+    Brouwer-Zimmermann engine and the information-set search all use them.
+    A weight <= 2 element outside the stabilizer settles the distance
+    exactly; otherwise it is exact when the engine proves it within
+    ``budget`` elements formed, and else an upper bound, never above the
+    lightest standard-form logical (see ``_distance``).  ``exact_max_dual``
+    skips the proof when 2N - m exceeds it: -1 gives the search alone.
     """
     if code.trivial:
         raise BudgetExhausted("K = 0: the normalizer equals the stabilizer")
     n = code.n_qubits
-    ha, hb = _halves_dense(code)
-
-    # exact pre-scan: if a weight <= 2 commuting non-stabilizer element
-    # exists, the distance is settled regardless of the dual-space size
-    for w, a, b in low_weight_commuting(ha, hb, n):
-        if not _in_stabilizer(code, a, b):
-            return _result_to_value(SearchResult(w, a, b), exact=True)
-    sf = code.standard_form
-    logicals = list(sf.logical_x) + list(sf.logical_z)
+    ha, hb = np.hsplit(code.h.to_dense(), 2)
+    logicals = code.standard_form.logical_x + code.standard_form.logical_z
     logs_a = np.array([v.a for v in logicals], dtype=np.uint8)
     logs_b = np.array([v.b for v in logicals], dtype=np.uint8)
-    norm_a = np.vstack([ha, logs_a])
-    norm_b = np.vstack([hb, logs_b])
-
-    if 2 * n - code.m <= exact_max_dual:
-        products = (norm_a.astype(np.int64) @ logs_b.T + norm_b.astype(np.int64) @ logs_a.T) % 2
-        _, res = weight_bounds(norm_a, norm_b, n, gf4=gf4_linear(code),
-                               tags=products.astype(np.uint8))
-        return _result_to_value(res, exact=True)
-
-    # bounded mode: search the normalizer span, reject stabilizer members
-    res = isd_search(norm_a, norm_b, n, budget=budget, seed=seed,
-                     accept=lambda a, b: not _in_stabilizer(code, a, b))
-    # a standard-form logical is itself a witness
-    return _result_to_value(_lighter_of(res, logs_a, logs_b), exact=False)
+    scan = low_weight_commuting(ha, hb, n)
+    rows_a = np.vstack([ha, logs_a] + [a for _, a, _ in scan])
+    rows_b = np.vstack([hb, logs_b] + [b for _, _, b in scan])
+    tags = (np.hstack([rows_a, rows_b]).astype(np.float64)
+            @ np.hstack([logs_b, logs_a]).T % 2).astype(np.uint8)
+    dual = len(ha) + len(logs_a)
+    # pre-scan: the first weight <= 2 commuting element outside the stabilizer
+    outside = np.flatnonzero(tags[dual:].any(axis=1))
+    if len(outside):
+        return _result_to_value(SearchResult(*scan[outside[0]]), exact=True)
+    return _distance(code, rows_a[:dual], rows_b[:dual], logs_a, logs_b, budget, seed,
+                     prove=exact_max_dual is None or 2 * n - code.m <= exact_max_dual,
+                     tags=tags[:dual])
 
 
 def classify_degeneracy(ddag: DistanceValue, dmin: DistanceValue) -> bool:

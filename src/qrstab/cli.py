@@ -123,7 +123,7 @@ def cmd_build(args) -> int:
     ddag = dmin = degenerate = None
     if args.distance != "none" and not code.trivial:
         search = {"budget": args.budget, "seed": args.seed}
-        if args.distance == "exact":  # analysis decides what it can enumerate
+        if args.distance == "exact":  # analysis decides what it can prove
             ddag, dmin = d_dagger(code, **search), d_min(code, **search)
         else:
             ddag = d_dagger(code, exact_max_m=-1, **search)

@@ -6,9 +6,9 @@ Two engines and a reference scan:
   rows of several systematic bases on qubit-interleaved columns, with one
   element per omega-orbit on GF(4)-linear codes; run to completion it
   returns a lightest element and proves it minimal;
-* randomized information-set search for spaces too large to enumerate,
-  working on qubit-interleaved columns so a systematic basis exposes
-  low-weight elements directly;
+* randomized information-set search for upper bounds where the engine's
+  proof does not fit the budget, working on qubit-interleaved columns so a
+  systematic basis exposes low-weight elements directly;
 * a full meet-in-the-middle scan of cosets of a span, with the X and Z
   halves packed into uint64 words; no distance uses it, it is the
   reference the engine is tested against.
@@ -158,7 +158,7 @@ def _weights(words: np.ndarray) -> np.ndarray:
 
 
 def isd_search(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
-               budget: int, seed: int, accept=None) -> SearchResult:
+               budget: int, seed: int, tags: np.ndarray | None = None) -> SearchResult:
     """Randomized low-weight search over the span of the given basis.
 
     Each round permutes the qubits, row-reduces the basis on interleaved
@@ -166,9 +166,10 @@ def isd_search(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
     basis; systematic bases concentrate weight outside the pivot block, so
     minimum-weight elements surface quickly for structured codes.
 
-    ``accept`` optionally filters candidates (given dense a, b vectors);
-    elements failing it are scored but never returned.  ``budget`` (at least
-    1) caps the number of scored candidates.  Never returns the zero vector.
+    ``tags`` works as in ``weight_bounds``: tag columns ride along after
+    the code columns, word-aligned, and candidates whose tags sum to zero
+    are scored but never returned.  ``budget`` (at least 1) caps the number
+    of scored candidates.  Never returns the zero vector.
     """
     if budget < 1:
         raise InvalidParameters(f"search budget must be at least 1, got {budget}")
@@ -179,24 +180,25 @@ def isd_search(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
                         np.zeros(n_qubits, np.uint8))
     evaluated = 0
     interleaved = _interleave(basis_a, basis_b)
+    tags = np.zeros((r, 0), dtype=np.uint8) if tags is None else tags
+    pad = np.zeros((r, -2 * n_qubits % 64), dtype=np.uint8)  # tags word-aligned
+    code_words = -(-2 * n_qubits // 64)
     ii, jj = np.triu_indices(r, 1)
     while evaluated < budget:
         perm = rng.permutation(n_qubits)
         cols = np.stack([2 * perm, 2 * perm + 1], axis=1).ravel()  # pairs, permuted
-        reduced = row_reduce(pack(interleaved[:, cols]))[0]
+        reduced = row_reduce(pack(np.hstack([interleaved[:, cols], pad, tags])))[0]
         cands = np.vstack([reduced, reduced[ii] ^ reduced[jj]])
-        w = _weights(cands)
-        w = np.where(w == 0, sentinel, w)
+        words = cands[:, :code_words]
+        w = _weights(words)
+        counted = w > 0
+        if tags.shape[1]:
+            counted &= cands[:, code_words:].any(axis=1)
+        w = np.where(counted, w, sentinel)
         evaluated += len(cands)
-        for idx in np.argsort(w, kind="stable"):
-            wm = int(w[idx])
-            if wm >= best.weight:
-                break
-            a, b = _deinterleave(cands[idx], perm, n_qubits)
-            if accept is not None and not accept(a, b):
-                continue
-            best = SearchResult(wm, a, b)
-            break
+        i = int(np.argmin(w))
+        if w[i] < best.weight:
+            best = SearchResult(int(w[i]), *_deinterleave(words[i], perm, n_qubits))
     best.evaluated = evaluated
     return best
 

@@ -203,11 +203,10 @@ def test_c3_twentynine_exact(make_type1):
 
 
 def test_c3_thirty_seven_exact_past_the_thresholds(make_type1):
-    # 2^36-element spans: the Brouwer-Zimmermann bound lets the scans stop
-    # at their first element of the bound's weight
+    # 2^36- and 2^38-element spans, proven within the default budget
     code = make_type1(37)
-    dd = d_dagger(code, exact_max_m=36)
-    dm = d_min(code, exact_max_dual=38)
+    dd = d_dagger(code)
+    dm = d_min(code)
     e = listed("I", 37, "d_min", 12)
     vd, vm = from_pauli(dd.witness), from_pauli(dm.witness)
     check("C3", f"[[37,1]]: d_dagger {dd.value}/{dd.tag} witness weight {weight(vd)}, "

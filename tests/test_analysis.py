@@ -216,13 +216,27 @@ def test_bounded_mode_deterministic(make_type1):
     assert (a.value, a.witness) == (b.value, b.witness)
 
 
+@pytest.mark.parametrize("limit", [None, -1], ids=["exact", "bound"])
 @pytest.mark.parametrize("budget", [0, -5])
-def test_bounded_mode_rejects_a_budget_below_one(make_type1, budget):
+def test_bounded_mode_rejects_a_budget_below_one(make_type1, budget, limit):
+    # the budget caps the proof as well as the search
     code = make_type1(13)  # no weight <= 2 logical, so the search must run
     with pytest.raises(InvalidParameters):
-        d_min(code, budget=budget, exact_max_dual=-1)
+        d_min(code, budget=budget, exact_max_dual=limit)
     with pytest.raises(InvalidParameters):
-        d_dagger(code, budget=budget, exact_max_m=-1)
+        d_dagger(code, budget=budget, exact_max_m=limit)
+
+
+def test_budget_caps_the_proof(make_type1):
+    """The p = 29 d_dagger proof forms 385 504 elements: one fewer leaves an
+    upper bound with a valid witness, that many gives the uncapped run."""
+    code = make_type1(29)
+    short = d_dagger(code, budget=385_503)
+    assert short.tag == "upper_bound"
+    assert witness_holds(code, short.witness, short.value, in_stabilizer=True)
+    proven, uncapped = d_dagger(code, budget=385_504), d_dagger(code)
+    assert proven.tag == uncapped.tag == "exact" and proven.value == 12
+    assert proven.witness == uncapped.witness
 
 
 def test_trivial_code_has_no_distance(make_type1):
@@ -281,14 +295,14 @@ def test_dual_space_dimension(make_type1, make_qcs):
 
 
 def test_half_rate_71_stabilizer_weight_is_12(make_type1):
-    """Regression pin for the honest p = 71 stabilizer minimum weight: the
-    bounded search finds a weight-12 element, and membership verifies.  (A
-    classical-code argument puts the true minimum at exactly 12: the
+    """Regression pin for the p = 71 stabilizer minimum weight: the
+    Brouwer-Zimmermann engine proves 12 within the table budget, and the
+    witness's membership verifies.  (A classical-code argument agrees: the
     nontrivial elements below weight 71 are the Y-type words of an even
     cyclic code whose augmented parent has odd minimum weight 11.)"""
     code = make_type1(71)
     dd = d_dagger(code, budget=2_000_000, seed=0)
-    assert dd.tag == "upper_bound" and dd.value == 12
+    assert dd.tag == "exact" and dd.value == 12
     v = from_pauli(dd.witness)
     assert int((v.a | v.b).sum()) == 12
     row = Gf2Matrix.from_dense(np.concatenate([v.a, v.b])[None, :])

@@ -191,6 +191,16 @@ def test_build_computes_standard_form_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_build_exact_proves_the_p37_distances(capsys):
+    rc, out, _ = run(capsys, "build", "--type", "1", "--p", "37", "--distance", "exact")
+    assert rc == 0
+    rec = json.loads(out)
+    code = StabilizerCode(37, CodeRecord.from_json(out).check_matrix(), family=rec["family"])
+    for field, value, in_stabilizer in (("d_min", 11, False), ("d_dagger", 12, True)):
+        assert (rec[field]["value"], rec[field]["tag"]) == (value, "exact")
+        assert witness_holds(code, rec[field]["witness"], value, in_stabilizer)
+
+
 @pytest.mark.parametrize("mode", ["exact", "bound"])
 def test_build_without_generators_is_an_error(capsys, mode):
     rc, out, err = run(capsys, "build", "--type", "2", "--p", "5", "--variant", "B",
@@ -248,8 +258,10 @@ def test_tables_3_matches(capsys):
 
 def test_tables_2_fast(capsys):
     rc, out, _ = run(capsys, "tables", "--which", "2")
-    # exact cells match; the two sampled cells pass as labeled upper bounds
-    assert rc == 0
+    # the one mismatch is the proven p = 71 erratum; p = 79 passes as a bound
+    assert rc == 1
+    assert [l for l in out.splitlines() if l.startswith("MISMATCH")] == [
+        "MISMATCH [[71,35,2]]: d_dagger got 12, expected == 16"]
 
 
 @pytest.mark.parametrize("option", ["--budget", "--seed"])

@@ -205,6 +205,24 @@ def test_lightest_element_lies_in_the_span(idle):
         assert (again.a.tolist(), again.b.tolist()) == (res.a.tolist(), res.b.tolist())
 
 
+@pytest.mark.parametrize("columns", [slice(None), slice(0, 1)], ids=["all", "one"])
+@pytest.mark.parametrize("seed", range(4))
+def test_isd_returns_only_tagged_elements(seed, columns):
+    """With tags, the search returns only elements whose tags sum to
+    nonzero: here products with all logicals or with X_1 alone, so each
+    result is a logical, whatever the budget."""
+    code = build_qcs(QcsSpec(classify_prime(7), QcsVariant.A, Layout("h1-adj2"),
+                             (2, 3, 8, 11, 21)))
+    ha, hb, la, lb, n = _worked_example()
+    norm_a, norm_b = np.vstack([ha, la]), np.vstack([hb, lb])
+    tags = ((norm_a @ lb.T + norm_b @ la.T) % 2)[:, columns]
+    for budget in (1, 300, 5000):
+        res = minweight.isd_search(norm_a, norm_b, n, budget, seed, tags=tags)
+        assert ((res.a @ lb[columns].T + res.b @ la[columns].T) % 2).any()
+        pauli = to_pauli(SymplecticVector(res.a, res.b))
+        assert witness_holds(code, pauli, res.weight, in_stabilizer=False)
+
+
 def test_evaluated_counts_the_elements_scanned(monkeypatch):
     ha, hb, la, lb, n = _worked_example()
     pa, pb = pack(ha), pack(hb)
