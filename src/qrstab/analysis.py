@@ -19,7 +19,8 @@ import numpy as np
 from .code import StabilizerCode
 from .errors import BudgetExhausted, InexactInputs, InvalidParameters
 from .gf2 import Gf2Matrix, pack, row_reduce, unpack
-from .minweight import SearchResult, isd_search, low_weight_commuting, weight_bounds
+from .minweight import (SearchResult, cell_sums, cell_vector, isd_search,
+                        low_weight_commuting, weight_bounds)
 from .symplectic import SymplecticVector, to_pauli
 
 DEFAULT_BUDGET = 10_000_000
@@ -192,6 +193,8 @@ def d_min(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
     element lies outside the stabilizer iff its symplectic products with
     the logicals, its tags, are not all zero; the pre-scan, the
     Brouwer-Zimmermann engine and the information-set search all use them.
+    A pre-scan candidate's tags are the XOR of at most two columns of the
+    logicals, one per (pattern, qubit) cell (``minweight.cell_sums``).
     A weight <= 2 element outside the stabilizer settles the distance
     exactly; otherwise it is exact when the engine proves it within
     ``budget`` elements formed, and else an upper bound, never above the
@@ -205,19 +208,18 @@ def d_min(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
     logicals = code.standard_form.logical_x + code.standard_form.logical_z
     logs_a = np.array([v.a for v in logicals], dtype=np.uint8)
     logs_b = np.array([v.b for v in logicals], dtype=np.uint8)
+    # pre-scan: the first weight <= 2 commuting element outside the stabilizer
     scan = low_weight_commuting(ha, hb, n)
-    rows_a = np.vstack([ha, logs_a] + [a for _, a, _ in scan])
-    rows_b = np.vstack([hb, logs_b] + [b for _, _, b in scan])
+    outside = np.flatnonzero(cell_sums(logs_b.T, logs_a.T, scan).any(axis=1))
+    if len(outside):
+        a, b = cell_vector(scan[outside[0]], n)
+        return _result_to_value(SearchResult(int((a | b).sum()), a, b), exact=True)
+    rows_a, rows_b = np.vstack([ha, logs_a]), np.vstack([hb, logs_b])
     tags = (np.hstack([rows_a, rows_b]).astype(np.float64)
             @ np.hstack([logs_b, logs_a]).T % 2).astype(np.uint8)
-    dual = len(ha) + len(logs_a)
-    # pre-scan: the first weight <= 2 commuting element outside the stabilizer
-    outside = np.flatnonzero(tags[dual:].any(axis=1))
-    if len(outside):
-        return _result_to_value(SearchResult(*scan[outside[0]]), exact=True)
-    return _distance(code, rows_a[:dual], rows_b[:dual], logs_a, logs_b, budget, seed,
+    return _distance(code, rows_a, rows_b, logs_a, logs_b, budget, seed,
                      prove=exact_max_dual is None or 2 * n - code.m <= exact_max_dual,
-                     tags=tags[:dual])
+                     tags=tags)
 
 
 def classify_degeneracy(ddag: DistanceValue, dmin: DistanceValue) -> bool:

@@ -2,10 +2,11 @@
 
 Rows are stored as little-endian uint64 words, so elimination works a word
 at a time.  ``row_reduce`` is the one elimination routine: rank, RREF,
-independent rows, row-space membership, the standard form and every
-information-set round run on it.  Matrices are immutable from the outside:
-every operation returns a fresh instance and never mutates its inputs, so
-each matrix caches its RREF.
+independent rows, row-space membership, the standard form and the
+information-set searches run on it.  It takes one matrix or a stack of
+them, so a search eliminates many rounds in one call.  Matrices are
+immutable from the outside: every operation returns a fresh instance and
+never mutates its inputs, so each matrix caches its RREF.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ def _n_words(cols: int) -> int:
 
 
 def pack(dense) -> np.ndarray:
-    """(m, n) 0/1 array -> (m, words) uint64, little-endian within rows."""
+    """(..., m, n) 0/1 array -> (..., m, words) uint64, little-endian within
+    rows; a 1-D array is one row."""
     dense = np.atleast_2d(np.asarray(dense, dtype=np.uint8))
-    m, n = dense.shape
-    padded = np.zeros((m, _n_words(n) * WORD), dtype=np.uint8)
-    padded[:, :n] = dense & 1
-    packed = np.packbits(padded, axis=1, bitorder="little")
-    return packed.view(np.uint64)
+    n = dense.shape[-1]
+    padded = np.zeros(dense.shape[:-1] + (_n_words(n) * WORD,), dtype=np.uint8)
+    padded[..., :n] = dense & 1
+    return np.packbits(padded, axis=-1, bitorder="little").view(np.uint64)
 
 
 def unpack(words: np.ndarray, cols: int) -> np.ndarray:
@@ -42,33 +43,53 @@ def unpack(words: np.ndarray, cols: int) -> np.ndarray:
 def row_reduce(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reduced row echelon form of packed rows; the one GF(2) elimination.
 
-    Each row in turn takes its lowest set bit as its pivot, and that bit is
-    cleared from every other row.  A row reduced to zero by the pivots
-    before it depends on the rows above it, so the rows that take a pivot
-    are the first-wins independent subset.  Sorting the pivot rows by pivot
-    gives the unique RREF for natural column order.
+    ``words`` is one (rows, words) matrix or a (B, rows, words) stack of B
+    matrices, all eliminated in the same pass over the row index.  In each
+    matrix, each row in turn takes its lowest set bit as its pivot, and
+    that bit is cleared from every other row.  A row reduced to zero by the
+    pivots before it depends on the rows above it, so the rows that take a
+    pivot are the first-wins independent subset.  Sorting the pivot rows by
+    pivot gives the unique RREF for natural column order.
 
-    Returns the reduced words (pivot rows by increasing pivot, then zero
-    rows), the pivot columns, and the source row of each pivot row.
+    For a stack, returns per matrix the reduced words (pivot rows by
+    increasing pivot, then zero rows), the pivot column of each row and
+    the source row of each pivot row, both -1 at the zero rows: shapes
+    (B, rows, words), (B, rows) and (B, rows).  For one matrix, returns its
+    reduced words and the pivots and sources of its pivot rows only.
     """
-    w = words.copy()
-    pivots = np.full(len(w), -1, dtype=np.int64)
-    for i in range(len(w)):
-        row = w[i]
-        for wj, word in enumerate(row.tolist()):
-            if word:
-                break
-        else:
-            continue
-        bit = (word & -word).bit_length() - 1
-        hits = (w[:, wj] >> np.uint64(bit)) & np.uint64(1)
-        hits[i] = 0
-        w ^= hits[:, None] * row
-        pivots[i] = wj * WORD + bit
-    sources = np.flatnonzero(pivots >= 0)
-    sources = sources[np.argsort(pivots[sources])]
-    order = np.concatenate([sources, np.flatnonzero(pivots < 0)])
-    return w[order], pivots[sources], sources
+    stacked = words.ndim == 3
+    # word-major planes (B, words, rows): a word of every row is contiguous
+    planes = np.swapaxes(words if stacked else words[None], 1, 2).copy()
+    n_mats, n_words, n_rows = planes.shape
+    mats = np.arange(n_mats)
+    pivots = [[-1] * n_mats] * n_rows  # per row index, each matrix's pivot or -1
+    for i in range(n_rows if n_words else 0):
+        lead, shift, piv = [0] * n_mats, [WORD] * n_mats, [-1] * n_mats
+        for b, row in enumerate(planes[:, :, i].tolist()):
+            for j, word in enumerate(row):
+                if word:
+                    lead[b], shift[b] = j, (word & -word).bit_length() - 1
+                    piv[b] = j * WORD + shift[b]
+                    break
+        pivots[i] = piv
+        # each matrix's pivot word across its rows; a shift of WORD reads
+        # no bit, so a zero row clears nothing
+        lo = min(lead)
+        at = planes[:, lo:lo + 1] if lo == max(lead) else planes[mats, lead][:, None]
+        hits = (at >> np.array(shift, dtype=np.uint64).reshape(-1, 1, 1)) & np.uint64(1)
+        hits[:, 0, i] = 0
+        tail = planes[:, lo:]  # every pivot row is zero below its pivot word
+        tail ^= planes[:, lo:, i:i + 1] * hits
+    pivots = np.array(pivots, dtype=np.int64).reshape(n_rows, n_mats).T
+    order = np.argsort(np.where(pivots < 0, n_words * WORD, pivots), axis=1, kind="stable")
+    picked = mats[:, None], order
+    reduced = np.swapaxes(planes, 1, 2)[picked]
+    pivots = pivots[picked]
+    sources = np.where(pivots < 0, -1, order)
+    if stacked:
+        return reduced, pivots, sources
+    rank = int((pivots >= 0).sum())
+    return reduced[0], pivots[0, :rank], sources[0, :rank]
 
 
 class Gf2Matrix:

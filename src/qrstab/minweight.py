@@ -8,7 +8,8 @@ Two engines and a reference scan:
   returns a lightest element and proves it minimal;
 * randomized information-set search for upper bounds where the engine's
   proof does not fit the budget, working on qubit-interleaved columns so a
-  systematic basis exposes low-weight elements directly;
+  systematic basis exposes low-weight elements directly, its rounds
+  eliminated and scored as stacks;
 * a full meet-in-the-middle scan of cosets of a span, with the X and Z
   halves packed into uint64 words; no distance uses it, it is the
   reference the engine is tested against.
@@ -31,7 +32,8 @@ from .gf2 import pack, row_reduce, unpack
 
 # bit 2q of a word of interleaved (x_q, z_q) columns
 _EVEN_BITS = np.uint64(0x5555_5555_5555_5555)
-# elements per vectorized step of the exact scan; keeps temporaries in cache
+# elements per vectorized step of the exact scan and candidates per step of
+# the information-set search; keeps temporaries in cache
 _CHUNK = 1 << 16
 
 
@@ -91,42 +93,52 @@ def min_weight_affine(pa: np.ndarray, pb: np.ndarray,
                         evaluated=len(offsets_a) * n1 * n2)
 
 
-def low_weight_commuting(ha: np.ndarray, hb: np.ndarray,
-                         n_qubits: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+def low_weight_commuting(ha: np.ndarray, hb: np.ndarray, n_qubits: int) -> np.ndarray:
     """All symplectic vectors of weight 1 or 2 commuting with every row of
     (ha | hb), ordered by weight, then by Pauli pattern (X < Z < Y, lowest
     qubit first), then by qubits.
 
-    Used as an exact pre-scan: if the lightest of these lies outside the
+    Each vector is a row of two cells, lowest qubit first: cell
+    pattern * N + qubit holds X (pattern 0), Z (1) or Y (2) on that qubit,
+    and cell -1 nothing, so a weight-1 vector's second cell is -1.  Used as
+    an exact pre-scan: if the lightest of these lies outside the
     stabilizer, the distance is settled without enumerating the dual space.
     The syndrome of X on qubit q is column q of hb, of Z column q of ha, and
     of Y their XOR.  A weight-1 vector commutes iff its syndrome is zero and
     a weight-2 vector iff its two syndromes are equal, so the scan buckets
-    the 3N packed syndrome columns by value and pairs within each bucket
-    instead of testing candidates.
+    the 3N packed syndrome columns, one per cell, by value and pairs within
+    each bucket instead of testing candidates.
     """
     sx, sz = pack(hb.T), pack(ha.T)
     buckets = defaultdict(list)
     for k, s in enumerate(np.vstack([sx, sz, sx ^ sz])):
         buckets[s.tobytes()].append(divmod(k, n_qubits))  # (pattern, qubit)
-    # each vector as (patterns..., qubits...), lowest qubit first; tuples sort
+    singles = [(p * n_qubits + q, -1) for p, q in buckets.get(bytes(sx[0].nbytes), [])]
+    # each pair as (patterns..., qubits...), lowest qubit first; tuples sort
     # in the documented order
-    singles = buckets.get(bytes(sx[0].nbytes), [])
     pairs = sorted((p0, p1, q0, q1) if q0 < q1 else (p1, p0, q1, q0)
                    for bucket in buckets.values()
                    for (p0, q0), (p1, q1) in combinations(bucket, 2) if q0 != q1)
+    pairs = [(p0 * n_qubits + q0, p1 * n_qubits + q1) for p0, p1, q0, q1 in pairs]
+    return np.array(singles + pairs, dtype=np.int64).reshape(-1, 2)
 
-    out = []
-    for w, cells in ((1, singles), (2, pairs)):
-        cells = np.array(cells, dtype=np.int64).reshape(-1, 2 * w)
-        pats, qubits = cells[:, :w], cells[:, w:]
-        rows = np.arange(len(cells))[:, None]
-        a = np.zeros((len(cells), n_qubits), dtype=np.uint8)
-        b = np.zeros_like(a)
-        a[rows, qubits] = pats != 1  # X or Y
-        b[rows, qubits] = pats != 0  # Z or Y
-        out += [(w, a[r], b[r]) for r in range(len(cells))]
-    return out
+
+def cell_sums(x_rows: np.ndarray, z_rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Per vector given as cells (rows of ``low_weight_commuting``), the XOR
+    over its cells of x_rows[q] for X on qubit q, z_rows[q] for Z and their
+    XOR for Y.  With x_rows the logicals' Z half transposed and z_rows their
+    X half transposed, that is each vector's symplectic products with the
+    logicals."""
+    table = np.vstack([x_rows, z_rows, x_rows ^ z_rows, np.zeros_like(x_rows[:1])])
+    return table[cells[:, 0]] ^ table[cells[:, 1]]  # cell -1: the zero row
+
+
+def cell_vector(cells: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense halves (a, b) of one vector given as cells."""
+    a, b = np.zeros((2, n_qubits), dtype=np.uint8)
+    for pattern, q in (divmod(int(c), n_qubits) for c in cells if c >= 0):
+        a[q], b[q] = pattern != 1, pattern != 0  # X or Y, Z or Y
+    return a, b
 
 
 # ---------------- randomized information-set search ----------------
@@ -153,8 +165,13 @@ def _deinterleave(word: np.ndarray, order: np.ndarray,
 
 
 def _weights(words: np.ndarray) -> np.ndarray:
-    """Symplectic weights of packed rows of interleaved (x_q, z_q) columns."""
-    return np.bitwise_count((words | words >> np.uint64(1)) & _EVEN_BITS).sum(axis=1)
+    """Symplectic weights of packed rows of interleaved (x_q, z_q) columns,
+    over the last axis."""
+    counts = np.bitwise_count((words | words >> np.uint64(1)) & _EVEN_BITS)
+    weights = np.zeros(counts.shape[:-1], dtype=np.int32)
+    for j in range(counts.shape[-1]):  # numpy's sum over a few words is slower
+        weights += counts[..., j]
+    return weights
 
 
 def isd_search(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
@@ -168,37 +185,53 @@ def isd_search(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
 
     ``tags`` works as in ``weight_bounds``: tag columns ride along after
     the code columns, word-aligned, and candidates whose tags sum to zero
-    are scored but never returned.  ``budget`` (at least 1) caps the number
-    of scored candidates.  Never returns the zero vector.
+    are scored but never returned.  ``budget`` (at least 1) fixes the
+    number of rounds: the fewest whose candidates reach it, r + r(r-1)/2 a
+    round for r basis rows, so ``evaluated`` is rounds times that.  Each
+    round draws its permutation in turn; the rounds are eliminated as a
+    stack, one ``row_reduce`` call per step of about ``_CHUNK`` candidates,
+    and scored together.  Ties go to the earliest round, then to the first
+    candidate in it: rows, then pairs in ``triu_indices`` order.  Never
+    returns the zero vector; raises ``InvalidParameters`` for an empty
+    basis.
     """
     if budget < 1:
         raise InvalidParameters(f"search budget must be at least 1, got {budget}")
-    rng = np.random.default_rng(seed)
     r = basis_a.shape[0]
+    if r == 0:
+        raise InvalidParameters("search basis has no rows")
+    rng = np.random.default_rng(seed)
+    ii, jj = np.triu_indices(r, 1)
+    per_round = r + len(ii)
+    rounds = -(-budget // per_round)
+    # a round holds per_round candidates and a permutation of n_qubits
+    step = max(1, _CHUNK // max(per_round, n_qubits))
     sentinel = n_qubits + 1
     best = SearchResult(sentinel, np.zeros(n_qubits, np.uint8),
                         np.zeros(n_qubits, np.uint8))
-    evaluated = 0
     interleaved = _interleave(basis_a, basis_b)
-    tags = np.zeros((r, 0), dtype=np.uint8) if tags is None else tags
-    pad = np.zeros((r, -2 * n_qubits % 64), dtype=np.uint8)  # tags word-aligned
+    tag_words = pack(np.zeros((r, 0), dtype=np.uint8) if tags is None else tags)
     code_words = -(-2 * n_qubits // 64)
-    ii, jj = np.triu_indices(r, 1)
-    while evaluated < budget:
-        perm = rng.permutation(n_qubits)
-        cols = np.stack([2 * perm, 2 * perm + 1], axis=1).ravel()  # pairs, permuted
-        reduced = row_reduce(pack(np.hstack([interleaved[:, cols], pad, tags])))[0]
-        cands = np.vstack([reduced, reduced[ii] ^ reduced[jj]])
-        words = cands[:, :code_words]
-        w = _weights(words)
+    evaluated = 0
+    for start in range(0, rounds, step):
+        perms = np.array([rng.permutation(n_qubits) for _ in range(min(step, rounds - start))])
+        cols = np.stack([2 * perms, 2 * perms + 1], axis=2).reshape(len(perms), -1)  # pairs, permuted
+        code = pack(interleaved[:, cols].transpose(1, 0, 2))
+        stack = np.concatenate([code, np.broadcast_to(tag_words, (len(perms), *tag_words.shape))],
+                               axis=2)
+        reduced = row_reduce(stack)[0]
+        pairs = np.take(reduced, ii, axis=1) ^ np.take(reduced, jj, axis=1)
+        cands = np.concatenate([reduced, pairs], axis=1)
+        w = _weights(cands[..., :code_words])
         counted = w > 0
-        if tags.shape[1]:
-            counted &= cands[:, code_words:].any(axis=1)
+        if tag_words.shape[1]:
+            counted &= cands[..., code_words:].any(axis=-1)
         w = np.where(counted, w, sentinel)
-        evaluated += len(cands)
-        i = int(np.argmin(w))
-        if w[i] < best.weight:
-            best = SearchResult(int(w[i]), *_deinterleave(words[i], perm, n_qubits))
+        evaluated += w.size
+        k, i = np.unravel_index(int(np.argmin(w)), w.shape)
+        if w[k, i] < best.weight:
+            best = SearchResult(int(w[k, i]),
+                                *_deinterleave(cands[k, i, :code_words], perms[k], n_qubits))
     best.evaluated = evaluated
     return best
 
@@ -218,12 +251,12 @@ def _information_sets(inter: np.ndarray, tags: np.ndarray,
     X-pivot row, Z-pivot row and their sum.
     """
     used = np.zeros(n_qubits, dtype=bool)
-    pad = np.zeros((len(inter), -2 * n_qubits % 64), dtype=np.uint8)  # tags word-aligned
+    tag_words = pack(tags)  # after the code words, so word-aligned
     sets = []
     while True:
         order = np.concatenate([np.flatnonzero(~used), np.flatnonzero(used)])
         cols = np.stack([2 * order, 2 * order + 1], axis=1).ravel()
-        reduced, pivots, _ = row_reduce(pack(np.hstack([inter[:, cols], pad, tags])))
+        reduced, pivots, _ = row_reduce(np.hstack([pack(inter[:, cols]), tag_words]))
         qubits = order[pivots // 2]
         if used[qubits].all():
             return sets

@@ -13,7 +13,7 @@ from pauli_scan import certify_distance, commuting_vectors_of_weight
 from qrstab.analysis import d_min
 from qrstab.code import StabilizerCode
 from qrstab.gf2 import Gf2Matrix
-from qrstab.minweight import low_weight_commuting
+from qrstab.minweight import cell_sums, cell_vector, low_weight_commuting
 from qrstab.numtheory import classify_prime
 from qrstab.symplectic import from_pauli
 from qrstab.tables import TABLE_IV
@@ -59,7 +59,8 @@ def _prescan_codes():
 def test_prescan_matches_brute_force(name, code):
     n = code.n_qubits
     dense = code.h.to_dense()
-    found = low_weight_commuting(dense[:, :n], dense[:, n:], n)
+    cells = low_weight_commuting(dense[:, :n], dense[:, n:], n)
+    found = [(2 - int(c[1] < 0), *cell_vector(c, n)) for c in cells]
     for w in (1, 2):
         got = {(a.tobytes(), b.tobytes()) for v, a, b in found if v == w}
         want = {(a.tobytes(), b.tobytes()) for a, b in commuting_vectors_of_weight(code, w)}
@@ -73,3 +74,10 @@ def test_prescan_matches_brute_force(name, code):
         qubits = tuple(np.flatnonzero(a | b).tolist())
         keys.append((w, tuple(rank[int(a[q]), int(b[q])] for q in qubits), qubits))
     assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+    # the tags from the cells are the symplectic products with the logicals
+    sf = code.standard_form
+    logs = np.array([np.concatenate([v.a, v.b]) for v in sf.logical_x + sf.logical_z],
+                    dtype=np.uint8).reshape(-1, 2 * n)  # no rows when K = 0
+    vectors = np.array([np.concatenate([a, b]) for _, a, b in found]).reshape(-1, 2 * n)
+    products = (vectors[:, :n] @ logs[:, n:].T + vectors[:, n:] @ logs[:, :n].T) % 2
+    assert np.array_equal(cell_sums(logs[:, n:].T, logs[:, :n].T, cells), products)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from qrstab.errors import ShapeMismatch
 from qrstab.gf2 import (Gf2Matrix, SupportPoly, circulant, cpm,
-                        integer_product_sum, support_poly)
+                        integer_product_sum, row_reduce, support_poly, unpack)
 from qrstab.numtheory import classify_prime
 
 rng = np.random.default_rng(20240811)
@@ -137,6 +137,39 @@ def test_rref_is_canonical():
         assert not red[r:].any()  # zero rows at the bottom
         # row space preserved
         assert Gf2Matrix.from_dense(np.vstack([d, red])).rank() == r
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2, 5]), st.integers(0, 9), st.integers(1, 3), st.data())
+def test_stacked_row_reduce_matches_each_matrix(n_mats, n_rows, n_words, data):
+    """A stack is eliminated as its matrices one by one would be: same
+    reduced words, pivots and sources, padded with -1 past each rank."""
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    gen = np.random.default_rng(seed)
+    # sparse words, so pivots land in every word; some rows zero or sums of others
+    words = gen.integers(0, 2**64, (n_mats, n_rows, n_words), dtype=np.uint64)
+    words &= gen.integers(0, 2**64, words.shape, dtype=np.uint64)
+    words[gen.random(words.shape) < 0.3] = 0
+    for b in range(n_mats):
+        for i in range(n_rows):
+            kind = data.draw(st.sampled_from(["random", "zero", "sum"]))
+            if kind == "zero":
+                words[b, i] = 0
+            elif kind == "sum" and i >= 2:
+                pick = gen.integers(0, 2, i).astype(bool)
+                words[b, i] = np.bitwise_xor.reduce(words[b, :i][pick], axis=0)
+    before = words.copy()
+    reduced, pivots, sources = row_reduce(words)
+    assert np.array_equal(words, before)  # the input is not modified
+    assert reduced.shape == words.shape and pivots.shape == sources.shape == words.shape[:2]
+    for b in range(n_mats):
+        one = row_reduce(words[b])
+        rank = len(one[1])
+        assert rank == rank_oracle(unpack(words[b], n_words * 64))
+        assert np.array_equal(reduced[b], one[0])
+        assert np.array_equal(pivots[b, :rank], one[1])
+        assert np.array_equal(sources[b, :rank], one[2])
+        assert (pivots[b, rank:] == -1).all() and (sources[b, rank:] == -1).all()
 
 
 def test_matmul_matches_numpy():

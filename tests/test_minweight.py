@@ -11,7 +11,7 @@ from qrstab import minweight
 from qrstab.analysis import gf4_linear, standard_form
 from qrstab.code import StabilizerCode
 from qrstab.errors import InvalidParameters
-from qrstab.gf2 import Gf2Matrix, pack
+from qrstab.gf2 import Gf2Matrix, pack, row_reduce
 from qrstab.minweight import min_weight_affine, weight_bounds, xor_table
 from qrstab.numtheory import classify_prime
 from qrstab.symplectic import SymplecticVector, to_pauli
@@ -221,6 +221,67 @@ def test_isd_returns_only_tagged_elements(seed, columns):
         assert ((res.a @ lb[columns].T + res.b @ la[columns].T) % 2).any()
         pauli = to_pauli(SymplecticVector(res.a, res.b))
         assert witness_holds(code, pauli, res.weight, in_stabilizer=False)
+
+
+def _isd_round_by_round(basis_a, basis_b, n_qubits, budget, seed, tags=None):
+    """The information-set search one round at a time: each round its own
+    permutation, elimination and scoring, until the candidates scored reach
+    the budget; a later round replaces the best only when strictly lighter."""
+    rng = np.random.default_rng(seed)
+    r = basis_a.shape[0]
+    interleaved = minweight._interleave(basis_a, basis_b)
+    tags = np.zeros((r, 0), dtype=np.uint8) if tags is None else tags
+    pad = np.zeros((r, -2 * n_qubits % 64), dtype=np.uint8)  # tags word-aligned
+    code_words = -(-2 * n_qubits // 64)
+    ii, jj = np.triu_indices(r, 1)
+    best = (n_qubits + 1, np.zeros(n_qubits, np.uint8), np.zeros(n_qubits, np.uint8))
+    evaluated = 0
+    while evaluated < budget:
+        perm = rng.permutation(n_qubits)
+        cols = np.stack([2 * perm, 2 * perm + 1], axis=1).ravel()
+        reduced = row_reduce(pack(np.hstack([interleaved[:, cols], pad, tags])))[0]
+        cands = np.vstack([reduced, reduced[ii] ^ reduced[jj]])
+        words = cands[:, :code_words]
+        bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+        w = (bits[:, 0::2] | bits[:, 1::2]).sum(axis=1)
+        counted = (w > 0) & (cands[:, code_words:].any(axis=1) if tags.shape[1] else True)
+        w = np.where(counted, w, n_qubits + 1)
+        evaluated += len(cands)
+        i = int(np.argmin(w))
+        if w[i] < best[0]:
+            best = (int(w[i]), *minweight._deinterleave(words[i], perm, n_qubits))
+    return (*best, evaluated)
+
+
+@pytest.mark.parametrize("chunk", [minweight._CHUNK, 2000], ids=["chunk", "small-chunk"])
+@pytest.mark.parametrize("tagged", [False, True], ids=["untagged", "tagged"])
+@pytest.mark.parametrize("basis", ["worked-example", "type1-37"])
+def test_stacked_isd_matches_round_by_round(basis, tagged, chunk, monkeypatch):
+    """Rounds eliminated and scored as stacks give the weight, witness and
+    count of the search run one round at a time, ties included; a small
+    chunk puts many rounds' boundaries inside the budget."""
+    if basis == "worked-example":
+        ha, hb, la, lb, n = _worked_example()
+        a, b = np.vstack([ha, la]), np.vstack([hb, lb])
+        tags = (a @ lb.T + b @ la.T) % 2
+    else:
+        n = 37
+        a, b, tags = _normalizer(build_type1(Type1Spec(classify_prime(n),
+                                                       Type1Variant.PLUS_FORM)))
+    tags = tags if tagged else None
+    monkeypatch.setattr(minweight, "_CHUNK", chunk)
+    for seed in range(4):
+        for budget in (1, 300, 50_000):
+            res = minweight.isd_search(a, b, n, budget, seed, tags=tags)
+            weight, wa, wb, evaluated = _isd_round_by_round(a, b, n, budget, seed, tags)
+            assert (res.weight, res.evaluated) == (weight, evaluated)
+            assert np.array_equal(res.a, wa) and np.array_equal(res.b, wb)
+
+
+def test_isd_rejects_an_empty_basis():
+    empty = np.zeros((0, 5), dtype=np.uint8)
+    with pytest.raises(InvalidParameters, match="no rows"):
+        minweight.isd_search(empty, empty, 5, 100, 0)
 
 
 def test_evaluated_counts_the_elements_scanned(monkeypatch):
