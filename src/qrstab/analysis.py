@@ -19,8 +19,7 @@ import numpy as np
 from .code import StabilizerCode
 from .errors import BudgetExhausted, InexactInputs, InvalidParameters
 from .gf2 import Gf2Matrix, pack, row_reduce, unpack
-from .minweight import (SearchResult, cell_sums, cell_vector, isd_search,
-                        low_weight_commuting, weight_bounds)
+from .minweight import SearchResult, isd_search, low_weight_commuting, weight_bounds
 from .symplectic import SymplecticVector, to_pauli
 
 DEFAULT_BUDGET = 10_000_000
@@ -194,7 +193,7 @@ def d_min(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
     the logicals, its tags, are not all zero; the pre-scan, the
     Brouwer-Zimmermann engine and the information-set search all use them.
     A pre-scan candidate's tags are the XOR of at most two columns of the
-    logicals, one per (pattern, qubit) cell (``minweight.cell_sums``).
+    logicals, one per Pauli on a qubit (``minweight.low_weight_commuting``).
     A weight <= 2 element outside the stabilizer settles the distance
     exactly; otherwise it is exact when the engine proves it within
     ``budget`` elements formed, and else an upper bound, never above the
@@ -208,12 +207,9 @@ def d_min(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
     logicals = code.standard_form.logical_x + code.standard_form.logical_z
     logs_a = np.array([v.a for v in logicals], dtype=np.uint8)
     logs_b = np.array([v.b for v in logicals], dtype=np.uint8)
-    # pre-scan: the first weight <= 2 commuting element outside the stabilizer
-    scan = low_weight_commuting(ha, hb, n)
-    outside = np.flatnonzero(cell_sums(logs_b.T, logs_a.T, scan).any(axis=1))
-    if len(outside):
-        a, b = cell_vector(scan[outside[0]], n)
-        return _result_to_value(SearchResult(int((a | b).sum()), a, b), exact=True)
+    first = low_weight_commuting(ha, hb, logs_a, logs_b, n)
+    if first is not None:
+        return _result_to_value(first, exact=True)
     rows_a, rows_b = np.vstack([ha, logs_a]), np.vstack([hb, logs_b])
     tags = (np.hstack([rows_a, rows_b]).astype(np.float64)
             @ np.hstack([logs_b, logs_a]).T % 2).astype(np.uint8)

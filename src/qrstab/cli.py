@@ -123,12 +123,11 @@ def cmd_build(args) -> int:
     ddag = dmin = degenerate = None
     if args.distance != "none" and not code.trivial:
         search = {"budget": args.budget, "seed": args.seed}
-        if args.distance == "exact":  # analysis decides what it can prove
-            ddag, dmin = d_dagger(code, **search), d_min(code, **search)
-        else:
-            ddag = d_dagger(code, exact_max_m=-1, **search)
-            dmin = d_min(code, exact_max_dual=-1, **search)
-        if ddag.is_exact and dmin.is_exact:
+        bound = args.distance == "bound"  # else analysis decides what it can prove
+        if code.m:  # with no generators there is no nontrivial stabilizer element
+            ddag = d_dagger(code, exact_max_m=-1 if bound else None, **search)
+        dmin = d_min(code, exact_max_dual=-1 if bound else None, **search)
+        if ddag is not None and ddag.is_exact and dmin.is_exact:
             degenerate = classify_degeneracy(ddag, dmin)
     if args.fmt == "alist":
         payload = alist_mod.export_alist(code.h)

@@ -10,9 +10,12 @@ Two engines and a reference scan:
   proof does not fit the budget, working on qubit-interleaved columns so a
   systematic basis exposes low-weight elements directly, its rounds
   eliminated and scored as stacks;
-* a full meet-in-the-middle scan of cosets of a span, with the X and Z
+* a plain scan of every element of cosets of a span, with the X and Z
   halves packed into uint64 words; no distance uses it, it is the
-  reference the engine is tested against.
+  reference the engines are tested against.
+
+Before either engine, ``d_min`` runs a pre-scan for a commuting vector of
+weight at most 2 outside the stabilizer.
 
 The searches report the achieving vector along with the weight.  All
 randomness is seeded by the caller; identical seeds give identical results.
@@ -32,8 +35,8 @@ from .gf2 import pack, row_reduce, unpack
 
 # bit 2q of a word of interleaved (x_q, z_q) columns
 _EVEN_BITS = np.uint64(0x5555_5555_5555_5555)
-# elements per vectorized step of the exact scan and candidates per step of
-# the information-set search; keeps temporaries in cache
+# candidates per step of the information-set search; keeps temporaries in
+# cache
 _CHUNK = 1 << 16
 
 
@@ -61,84 +64,64 @@ def min_weight_affine(pa: np.ndarray, pb: np.ndarray,
     {offset + span(rows)}, one per offset, by scanning every element.
 
     pa, pb: (m, words) packed X/Z halves of the basis rows; offset_a,
-    offset_b: one (words,) offset or a (c, words) stack of them.  Splits the
-    span in half and scans the other half, shifted by each offset in turn,
-    against a table of one half; both tables are built once for all offsets
-    and the inner loop touches ``_CHUNK`` elements per vectorized step.  Ties
-    go to the first offset, then to the first element in scan order.
+    offset_b: one (words,) offset or a (c, words) stack of them.  The span is
+    formed once with ``xor_table`` and shifted by each offset in turn.  Ties
+    go to the first offset, then to the first element in table order.
     ``evaluated`` counts the elements scanned.
     """
+    span_a, span_b = xor_table(pa), xor_table(pb)
     offsets_a, offsets_b = np.atleast_2d(offset_a), np.atleast_2d(offset_b)
-    t1 = len(pa) // 2
-    A1, B1 = xor_table(pa[:t1]), xor_table(pb[:t1])
-    A2, B2 = xor_table(pa[t1:]), xor_table(pb[t1:])
-    best_w, best_row, best_i1 = n_qubits + 1, 0, 0
-    n1, n2 = A1.shape[0], A2.shape[0]
-    step = max(1, _CHUNK // n1)
-    # scan rows run over (offset, second-half index) pairs, offset-major
-    for s in range(0, len(offsets_a) * n2, step):
-        k, i2 = np.divmod(np.arange(s, min(s + step, len(offsets_a) * n2)), n2)
-        a2, b2 = A2[i2] ^ offsets_a[k], B2[i2] ^ offsets_b[k]
-        a = a2[:, None, :] ^ A1[None, :, :]
-        b = b2[:, None, :] ^ B1[None, :, :]
-        np.bitwise_or(a, b, out=a)
-        w = np.bitwise_count(a).sum(axis=-1, dtype=np.uint32)
-        idx = np.unravel_index(int(np.argmin(w)), w.shape)
-        if w[idx] < best_w:
-            best_w, best_row, best_i1 = int(w[idx]), s + int(idx[0]), int(idx[1])
-    k, i2 = divmod(best_row, n2)
-    va = A2[i2] ^ offsets_a[k] ^ A1[best_i1]
-    vb = B2[i2] ^ offsets_b[k] ^ B1[best_i1]
-    return SearchResult(best_w, unpack(va, n_qubits)[0], unpack(vb, n_qubits)[0],
-                        evaluated=len(offsets_a) * n1 * n2)
+    best_w, best = n_qubits + 1, None
+    for oa, ob in zip(offsets_a, offsets_b):
+        a, b = span_a ^ oa, span_b ^ ob
+        w = np.bitwise_count(a | b).sum(axis=1)
+        i = int(np.argmin(w))
+        if w[i] < best_w:
+            best_w, best = int(w[i]), (a[i], b[i])
+    return SearchResult(best_w, unpack(best[0], n_qubits)[0], unpack(best[1], n_qubits)[0],
+                        evaluated=len(offsets_a) * len(span_a))
 
 
-def low_weight_commuting(ha: np.ndarray, hb: np.ndarray, n_qubits: int) -> np.ndarray:
-    """All symplectic vectors of weight 1 or 2 commuting with every row of
-    (ha | hb), ordered by weight, then by Pauli pattern (X < Z < Y, lowest
-    qubit first), then by qubits.
+def low_weight_commuting(ha: np.ndarray, hb: np.ndarray, logs_a: np.ndarray,
+                         logs_b: np.ndarray, n_qubits: int) -> SearchResult | None:
+    """The first symplectic vector of weight 1 or 2 that commutes with every
+    row of (ha | hb) but not with some row of (logs_a | logs_b), or None.
 
-    Each vector is a row of two cells, lowest qubit first: cell
-    pattern * N + qubit holds X (pattern 0), Z (1) or Y (2) on that qubit,
-    and cell -1 nothing, so a weight-1 vector's second cell is -1.  Used as
-    an exact pre-scan: if the lightest of these lies outside the
-    stabilizer, the distance is settled without enumerating the dual space.
-    The syndrome of X on qubit q is column q of hb, of Z column q of ha, and
-    of Y their XOR.  A weight-1 vector commutes iff its syndrome is zero and
-    a weight-2 vector iff its two syndromes are equal, so the scan buckets
-    the 3N packed syndrome columns, one per cell, by value and pairs within
-    each bucket instead of testing candidates.
+    Vectors come in order of weight, then Pauli pattern (X < Z < Y, lowest
+    qubit first), then qubits.  Used as an exact pre-scan: with the code's
+    logicals, such a vector lies outside the stabilizer and settles the
+    distance without enumerating the dual space.  Each cell, X, Z or Y on
+    one qubit, has a syndrome and products with the logicals: column q of
+    hb and of logs_b for X on qubit q, column q of ha and of logs_a for Z,
+    and their XOR for Y.  A weight-1 vector commutes iff its syndrome is
+    zero and a weight-2 vector iff its two syndromes are equal, so the scan
+    buckets the 3N packed syndrome columns, one per cell, by value and pairs
+    within each bucket instead of testing candidates.  A vector misses some
+    logical iff its products are nonzero: for a pair, iff its two cells'
+    products differ.
     """
     sx, sz = pack(hb.T), pack(ha.T)
+    lx, lz = pack(logs_b.T), pack(logs_a.T)
+    products = np.stack([lx, lz, lx ^ lz]).tolist()  # [pattern][qubit]
     buckets = defaultdict(list)
     for k, s in enumerate(np.vstack([sx, sz, sx ^ sz])):
         buckets[s.tobytes()].append(divmod(k, n_qubits))  # (pattern, qubit)
-    singles = [(p * n_qubits + q, -1) for p, q in buckets.get(bytes(sx[0].nbytes), [])]
-    # each pair as (patterns..., qubits...), lowest qubit first; tuples sort
-    # in the documented order
-    pairs = sorted((p0, p1, q0, q1) if q0 < q1 else (p1, p0, q1, q0)
-                   for bucket in buckets.values()
-                   for (p0, q0), (p1, q1) in combinations(bucket, 2) if q0 != q1)
-    pairs = [(p0 * n_qubits + q0, p1 * n_qubits + q1) for p0, p1, q0, q1 in pairs]
-    return np.array(singles + pairs, dtype=np.int64).reshape(-1, 2)
-
-
-def cell_sums(x_rows: np.ndarray, z_rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Per vector given as cells (rows of ``low_weight_commuting``), the XOR
-    over its cells of x_rows[q] for X on qubit q, z_rows[q] for Z and their
-    XOR for Y.  With x_rows the logicals' Z half transposed and z_rows their
-    X half transposed, that is each vector's symplectic products with the
-    logicals."""
-    table = np.vstack([x_rows, z_rows, x_rows ^ z_rows, np.zeros_like(x_rows[:1])])
-    return table[cells[:, 0]] ^ table[cells[:, 1]]  # cell -1: the zero row
-
-
-def cell_vector(cells: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense halves (a, b) of one vector given as cells."""
+    cells = next(([(p, q)] for p, q in buckets.get(bytes(sx[0].nbytes), [])
+                  if any(products[p][q])), None)
+    if cells is None:
+        # each pair as (patterns..., qubits...), lowest qubit first; tuples
+        # compare in the documented order
+        pair = min(((p0, p1, q0, q1) if q0 < q1 else (p1, p0, q1, q0)
+                    for bucket in buckets.values()
+                    for (p0, q0), (p1, q1) in combinations(bucket, 2)
+                    if q0 != q1 and products[p0][q0] != products[p1][q1]), default=None)
+        if pair is None:
+            return None
+        cells = [(pair[0], pair[2]), (pair[1], pair[3])]
     a, b = np.zeros((2, n_qubits), dtype=np.uint8)
-    for pattern, q in (divmod(int(c), n_qubits) for c in cells if c >= 0):
+    for pattern, q in cells:
         a[q], b[q] = pattern != 1, pattern != 0  # X or Y, Z or Y
-    return a, b
+    return SearchResult(len(cells), a, b)
 
 
 # ---------------- randomized information-set search ----------------
@@ -187,13 +170,14 @@ def isd_search(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
     the code columns, word-aligned, and candidates whose tags sum to zero
     are scored but never returned.  ``budget`` (at least 1) fixes the
     number of rounds: the fewest whose candidates reach it, r + r(r-1)/2 a
-    round for r basis rows, so ``evaluated`` is rounds times that.  Each
-    round draws its permutation in turn; the rounds are eliminated as a
-    stack, one ``row_reduce`` call per step of about ``_CHUNK`` candidates,
-    and scored together.  Ties go to the earliest round, then to the first
-    candidate in it: rows, then pairs in ``triu_indices`` order.  Never
-    returns the zero vector; raises ``InvalidParameters`` for an empty
-    basis.
+    round for r basis rows, so ``evaluated`` is rounds times that.  The
+    rounds go in steps of about ``_CHUNK`` candidates: each step draws its
+    rounds' permutations in one ``rng.permuted`` call, which gives what one
+    ``rng.permutation`` call per round would, and eliminates them as a
+    stack with one ``row_reduce`` call, scored together.  Ties go to the
+    earliest round, then to the first candidate in it: rows, then pairs in
+    ``triu_indices`` order.  Never returns the zero vector; raises
+    ``InvalidParameters`` for an empty basis.
     """
     if budget < 1:
         raise InvalidParameters(f"search budget must be at least 1, got {budget}")
@@ -212,9 +196,9 @@ def isd_search(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
     interleaved = _interleave(basis_a, basis_b)
     tag_words = pack(np.zeros((r, 0), dtype=np.uint8) if tags is None else tags)
     code_words = -(-2 * n_qubits // 64)
-    evaluated = 0
     for start in range(0, rounds, step):
-        perms = np.array([rng.permutation(n_qubits) for _ in range(min(step, rounds - start))])
+        count = min(step, rounds - start)
+        perms = rng.permuted(np.tile(np.arange(n_qubits), (count, 1)), axis=1)
         cols = np.stack([2 * perms, 2 * perms + 1], axis=2).reshape(len(perms), -1)  # pairs, permuted
         code = pack(interleaved[:, cols].transpose(1, 0, 2))
         stack = np.concatenate([code, np.broadcast_to(tag_words, (len(perms), *tag_words.shape))],
@@ -227,12 +211,11 @@ def isd_search(basis_a: np.ndarray, basis_b: np.ndarray, n_qubits: int,
         if tag_words.shape[1]:
             counted &= cands[..., code_words:].any(axis=-1)
         w = np.where(counted, w, sentinel)
-        evaluated += w.size
         k, i = np.unravel_index(int(np.argmin(w)), w.shape)
         if w[k, i] < best.weight:
             best = SearchResult(int(w[k, i]),
                                 *_deinterleave(cands[k, i, :code_words], perms[k], n_qubits))
-    best.evaluated = evaluated
+    best.evaluated = rounds * per_round
     return best
 
 

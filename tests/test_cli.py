@@ -202,12 +202,18 @@ def test_build_exact_proves_the_p37_distances(capsys):
 
 
 @pytest.mark.parametrize("mode", ["exact", "bound"])
-def test_build_without_generators_is_an_error(capsys, mode):
+def test_build_without_generators_skips_d_dagger(capsys, mode):
+    # every row removed: a [[10,10]] code whose stabilizer has no nontrivial
+    # element, so d_dagger is null, while X on qubit 0 is a weight-1 logical
     rc, out, err = run(capsys, "build", "--type", "2", "--p", "5", "--variant", "B",
                        "--remove", "1,2,3,4,5,6,7,8,9,10", "--distance", mode,
                        "--budget", "1000")
-    assert rc == 2 and out == ""
-    assert err.startswith("error: BudgetExhausted") and err.count("\n") == 1
+    assert rc == 0 and err == ""
+    rec = json.loads(out)
+    assert rec["generators"] == [] and rec["k_logical"] == 10
+    assert rec["d_dagger"] is None and rec["degenerate"] is None
+    assert rec["d_min"] == {"tag": "exact", "value": 1, "witness": "XIIIIIIIII"}
+    assert CodeRecord.from_json(out).d_dagger is None
 
 
 def test_build_rejects_empty_row_list(capsys):

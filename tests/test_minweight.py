@@ -1,5 +1,7 @@
 """The Brouwer-Zimmermann engine, its bounds and its lightest element,
-checked against brute force and against the full scan."""
+checked against brute force and against the full scan; the stacked
+information-set search against its rounds run one by one; the full scan
+against brute force."""
 
 import numpy as np
 import pytest
@@ -229,7 +231,7 @@ def _isd_round_by_round(basis_a, basis_b, n_qubits, budget, seed, tags=None):
     the budget; a later round replaces the best only when strictly lighter."""
     rng = np.random.default_rng(seed)
     r = basis_a.shape[0]
-    interleaved = minweight._interleave(basis_a, basis_b)
+    halves = np.hstack([basis_a, basis_b])
     tags = np.zeros((r, 0), dtype=np.uint8) if tags is None else tags
     pad = np.zeros((r, -2 * n_qubits % 64), dtype=np.uint8)  # tags word-aligned
     code_words = -(-2 * n_qubits // 64)
@@ -238,8 +240,9 @@ def _isd_round_by_round(basis_a, basis_b, n_qubits, budget, seed, tags=None):
     evaluated = 0
     while evaluated < budget:
         perm = rng.permutation(n_qubits)
-        cols = np.stack([2 * perm, 2 * perm + 1], axis=1).ravel()
-        reduced = row_reduce(pack(np.hstack([interleaved[:, cols], pad, tags])))[0]
+        # x then z of each qubit in the permuted order
+        cols = np.stack([perm, n_qubits + perm], axis=1).ravel()
+        reduced = row_reduce(pack(np.hstack([halves[:, cols], pad, tags])))[0]
         cands = np.vstack([reduced, reduced[ii] ^ reduced[jj]])
         words = cands[:, :code_words]
         bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
@@ -249,7 +252,9 @@ def _isd_round_by_round(basis_a, basis_b, n_qubits, budget, seed, tags=None):
         evaluated += len(cands)
         i = int(np.argmin(w))
         if w[i] < best[0]:
-            best = (int(w[i]), *minweight._deinterleave(words[i], perm, n_qubits))
+            a, b = np.empty((2, n_qubits), dtype=np.uint8)
+            a[perm], b[perm] = bits[i, 0:2 * n_qubits:2], bits[i, 1:2 * n_qubits:2]
+            best = (int(w[i]), a, b)
     return (*best, evaluated)
 
 
@@ -282,6 +287,28 @@ def test_isd_rejects_an_empty_basis():
     empty = np.zeros((0, 5), dtype=np.uint8)
     with pytest.raises(InvalidParameters, match="no rows"):
         minweight.isd_search(empty, empty, 5, 100, 0)
+
+
+@pytest.mark.parametrize("n", [5, 70], ids=["one-word", "multi-word"])
+def test_affine_scan_matches_brute_force(n):
+    """The reference scan against every element of every coset, formed
+    densely: the weight, the first lightest element (offsets in order, then
+    row selections in table order) and the count."""
+    rng = np.random.default_rng(n)
+    for _ in range(60):
+        m, c = int(rng.integers(0, 8)), int(rng.integers(1, 5))
+        density = rng.uniform(0.05, 0.5)
+        rows = (rng.random((m, 2 * n)) < density).astype(np.uint8)
+        offsets = (rng.random((c, 2 * n)) < density).astype(np.uint8)
+        sel = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1  # bit j: row j
+        elements = ((offsets[:, None, :] + (sel @ rows)[None]) % 2).reshape(-1, 2 * n)
+        weights = (elements[:, :n] | elements[:, n:]).sum(axis=1)
+        i = int(np.argmin(weights))
+        res = min_weight_affine(pack(rows[:, :n]), pack(rows[:, n:]),
+                                pack(offsets[:, :n]), pack(offsets[:, n:]), n)
+        assert (res.weight, res.evaluated) == (weights[i], c << m)
+        assert res.a.tolist() == elements[i, :n].tolist()
+        assert res.b.tolist() == elements[i, n:].tolist()
 
 
 def test_evaluated_counts_the_elements_scanned(monkeypatch):
