@@ -119,9 +119,9 @@ class DistanceValue:
 
 @dataclass(frozen=True)
 class DistanceReport:
-    d_dagger: DistanceValue
+    d_dagger: DistanceValue | None  # None when there are no generators
     d_min: DistanceValue
-    degenerate: bool | None  # None when either value is only a bound
+    degenerate: bool | None  # None unless both values are exact
     budget: int
     seed: int
 
@@ -230,8 +230,8 @@ def classify_degeneracy(ddag: DistanceValue, dmin: DistanceValue) -> bool:
 
 def distance_report(code: StabilizerCode, budget: int = DEFAULT_BUDGET,
                     seed: int = 0) -> DistanceReport:
-    ddag = d_dagger(code, budget=budget, seed=seed)
+    ddag = d_dagger(code, budget=budget, seed=seed) if code.m else None
     dmin = d_min(code, budget=budget, seed=seed)
     degenerate = (classify_degeneracy(ddag, dmin)
-                  if ddag.is_exact and dmin.is_exact else None)
+                  if ddag is not None and ddag.is_exact and dmin.is_exact else None)
     return DistanceReport(ddag, dmin, degenerate, budget, seed)

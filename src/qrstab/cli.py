@@ -9,8 +9,9 @@ Subcommands:
   nonzero if any cell mismatches.
 * ``bounds``: evaluate finite-length bounds or emit asymptotic curve CSV.
 
-Row indices on the command line are 1-based throughout.  ``--seed`` only
-affects bounded-mode distance searches.
+Row indices on the command line are 1-based throughout.  ``--seed`` seeds
+the information-set search, which ``--distance bound`` always runs and the
+default mode runs whenever the proof does not fit the budget.
 """
 
 from __future__ import annotations

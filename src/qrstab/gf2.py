@@ -1,4 +1,4 @@
-"""Dense bit-packed GF(2) matrices and circulant constructors.
+"""Dense bit-packed GF(2) matrices and the circulant lift.
 
 Rows are stored as little-endian uint64 words, so elimination works a word
 at a time.  ``row_reduce`` is the one elimination routine: rank, RREF,
@@ -118,14 +118,6 @@ class Gf2Matrix:
     def zeros(cls, rows: int, cols: int) -> "Gf2Matrix":
         return cls(rows, cols, np.zeros((rows, _n_words(cols)), dtype=np.uint64))
 
-    @classmethod
-    def identity(cls, n: int) -> "Gf2Matrix":
-        return cls.from_dense(np.eye(n, dtype=np.uint8))
-
-    @classmethod
-    def ones(cls, rows: int, cols: int) -> "Gf2Matrix":
-        return cls.from_dense(np.ones((rows, cols), dtype=np.uint8))
-
     # ---------------- accessors ----------------
 
     def to_dense(self) -> np.ndarray:
@@ -140,9 +132,6 @@ class Gf2Matrix:
 
     def row_weights(self) -> np.ndarray:
         return np.bitwise_count(self._words).sum(axis=1).astype(np.int64)
-
-    def is_zero(self) -> bool:
-        return not self._words.any()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -234,70 +223,23 @@ class RrefResult:
     independent_rows: tuple[int, ...]
 
 
-# ---------------- circulants ----------------
+# ---------------- lifting ----------------
 
 
-@dataclass(frozen=True)
-class SupportPoly:
-    """A binary polynomial modulo x**p - 1, stored as its exponent support."""
+def lift(p: int, cells) -> Gf2Matrix:
+    """Lift a grid of exponent lists to a binary matrix of p x p blocks.
 
-    modulus: int
-    support: frozenset[int]
-
-    def __post_init__(self):
-        if not all(0 <= e < self.modulus for e in self.support):
-            object.__setattr__(self, "support",
-                               frozenset(e % self.modulus for e in self.support))
-
-    @property
-    def weight(self) -> int:
-        return len(self.support)
-
-    def __add__(self, other: "SupportPoly") -> "SupportPoly":
-        return SupportPoly(self.modulus, self.support ^ other.support)
-
-    def __mul__(self, other: "SupportPoly") -> "SupportPoly":
-        """Product modulo x**p - 1, coefficients mod 2."""
-        p = self.modulus
-        counts: dict[int, int] = {}
-        for a in self.support:
-            for b in other.support:
-                e = (a + b) % p
-                counts[e] = counts.get(e, 0) ^ 1
-        return SupportPoly(p, frozenset(e for e, c in counts.items() if c))
-
-    def reciprocal(self) -> "SupportPoly":
-        """Exponent negation; the circulant of the reciprocal is the transpose."""
-        return SupportPoly(self.modulus, frozenset((-e) % self.modulus for e in self.support))
-
-
-def support_poly(modulus: int, exponents) -> SupportPoly:
-    return SupportPoly(modulus, frozenset(int(e) % modulus for e in exponents))
-
-
-def fill_circulant(block: np.ndarray, exponents) -> None:
-    """XOR the circulant permutation matrix of each exponent d, the ones at
-    (i, (i + d) mod p), into the square 0/1 array ``block`` in place."""
-    rows = np.arange(len(block))
-    for d in exponents:
-        block[rows, (rows + d) % len(block)] ^= 1
-
-
-def circulant(poly: SupportPoly) -> Gf2Matrix:
-    """Mod-2 sum of cpm(p, e) over the support; each row is the previous
-    row shifted right by one."""
-    dense = np.zeros((poly.modulus, poly.modulus), dtype=np.uint8)
-    fill_circulant(dense, poly.support)
+    Block (i, j) is the mod-2 sum, over the exponents d in ``cells[i][j]``,
+    of the circulant permutation matrix with ones at (r, (r + d) mod p).
+    Any int is taken mod p and repeats cancel, so an exponent list is a
+    polynomial modulo x**p - 1 and the 1 x 1 grid ``[[f]]`` gives the
+    circulant of f, each row the previous one shifted right by one.
+    """
+    dense = np.zeros((len(cells) * p, len(cells[0]) * p), dtype=np.uint8)
+    rows = np.arange(p)
+    for i, row in enumerate(cells):
+        for j, cell in enumerate(row):
+            block = dense[i * p:(i + 1) * p, j * p:(j + 1) * p]
+            for d in cell:
+                block[rows, (rows + d) % p] ^= 1
     return Gf2Matrix.from_dense(dense)
-
-
-def cpm(p: int, d: int) -> Gf2Matrix:
-    """Circulant permutation matrix: entry (i, (i + d) mod p) = 1."""
-    return circulant(support_poly(p, (d,)))
-
-
-def integer_product_sum(h1: Gf2Matrix, h2: Gf2Matrix) -> np.ndarray:
-    """H1 @ H2.T + H2 @ H1.T over the integers (not mod 2)."""
-    a = h1.to_dense().astype(np.int64)
-    b = h2.to_dense().astype(np.int64)
-    return a @ b.T + b @ a.T

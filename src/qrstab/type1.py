@@ -15,7 +15,7 @@ from enum import Enum
 
 from .code import StabilizerCode, commuting_generators, zero_based_rows
 from .errors import UnsupportedForm
-from .gf2 import SupportPoly, circulant, support_poly
+from .gf2 import lift
 from .numtheory import Form, QrContext
 
 
@@ -36,21 +36,21 @@ class Type1Spec:
 
 @dataclass(frozen=True)
 class Idempotents:
-    """The four characteristic polynomials over F2[x]/(x^p - 1)."""
+    """The four characteristic polynomials over F2[x]/(x^p - 1), each as
+    its set of exponents."""
 
-    residues: SupportPoly             # support = QR
-    nonresidues: SupportPoly          # support = QNR
-    residue_complement: SupportPoly   # support = {0} | QNR
-    nonresidue_complement: SupportPoly  # support = {0} | QR
+    residues: frozenset[int]               # QR
+    nonresidues: frozenset[int]            # QNR
+    residue_complement: frozenset[int]     # {0} | QNR
+    nonresidue_complement: frozenset[int]  # {0} | QR
 
 
 def idempotents(ctx: QrContext) -> Idempotents:
-    p = ctx.p
     return Idempotents(
-        residues=support_poly(p, ctx.qr),
-        nonresidues=support_poly(p, ctx.qnr),
-        residue_complement=support_poly(p, (0, *ctx.qnr)),
-        nonresidue_complement=support_poly(p, (0, *ctx.qr)),
+        residues=frozenset(ctx.qr),
+        nonresidues=frozenset(ctx.qnr),
+        residue_complement=frozenset((0, *ctx.qnr)),
+        nonresidue_complement=frozenset((0, *ctx.qr)),
     )
 
 
@@ -60,7 +60,7 @@ def default_variant(ctx: QrContext) -> Type1Variant:
     return Type1Variant.PLUS_FORM
 
 
-def half_polys(spec: Type1Spec) -> tuple[SupportPoly, SupportPoly]:
+def half_polys(spec: Type1Spec) -> tuple[frozenset[int], frozenset[int]]:
     """The (X-side, Z-side) circulant polynomials for the chosen variant.
 
     The plus-form pair is (non-residues | residues): with this orientation
@@ -95,8 +95,8 @@ def build_type1(spec: Type1Spec) -> StabilizerCode:
     ctx = spec.ctx
     left, right = half_polys(spec)
     rows = None if spec.row_subset is None else zero_based_rows(spec.row_subset, ctx.p)
-    sub, rows = commuting_generators(circulant(left), circulant(right), rows,
-                                     f"type1 {spec.variant.value}, p = {ctx.p}")
+    sub, rows = commuting_generators(lift(ctx.p, [[left]]), lift(ctx.p, [[right]]),
+                                     rows, f"type1 {spec.variant.value}, p = {ctx.p}")
     return StabilizerCode(
         n_qubits=ctx.p,
         h=sub,

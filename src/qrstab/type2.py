@@ -21,11 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .code import StabilizerCode, commuting_generators, zero_based_rows
 from .errors import WrongForm
-from .gf2 import Gf2Matrix, fill_circulant
+from .gf2 import lift
 from .numtheory import Form, QrContext
 
 
@@ -114,16 +112,6 @@ def build_proto_qcs_b(ctx: QrContext) -> tuple[ProtoMatrix, ProtoMatrix]:
     return _singleton_proto(p, k, h1), _singleton_proto(p, k, h2)
 
 
-def lift(proto: ProtoMatrix) -> Gf2Matrix:
-    """Expand each exponent set into a sum of circulant permutation blocks."""
-    p, k = proto.p, proto.k
-    dense = np.zeros((p * k, p * k), dtype=np.uint8)
-    for i in range(k):
-        for j in range(k):
-            fill_circulant(dense[i * p:(i + 1) * p, j * p:(j + 1) * p], proto.cells[i][j])
-    return Gf2Matrix.from_dense(dense)
-
-
 def arrange(spec: QcsSpec) -> tuple[ProtoMatrix, ProtoMatrix]:
     """(left, right) proto-matrices after applying the layout's adjunct."""
     if spec.variant is QcsVariant.A:
@@ -196,7 +184,7 @@ def build_qcs(spec: QcsSpec) -> StabilizerCode:
     removed = (list(spec.removed_rows) if spec.removed_rows is not None
                else default_removal(ctx, spec.variant))
     dropped = set(zero_based_rows(removed, n_rows) if removed else ())
-    left, right = lift(left_proto), lift(right_proto)
+    left, right = lift(ctx.p, left_proto.cells), lift(ctx.p, right_proto.cells)
     sub, _ = commuting_generators(
         left, right, [i for i in range(n_rows) if i not in dropped],
         f"QCS-{spec.variant.value}, p = {ctx.p}")

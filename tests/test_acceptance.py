@@ -18,14 +18,14 @@ from pauli_scan import lightest_logical_weight
 from qrstab.analysis import (d_dagger, d_min, standard_form)
 from qrstab.bounds import (asymptotic_curves, gv_bound, hamming_bound,
                            singleton_bound)
-from qrstab.gf2 import Gf2Matrix, circulant, integer_product_sum
+from qrstab.gf2 import Gf2Matrix, lift
 from qrstab.numtheory import classify_prime, is_prime
 from qrstab.symplectic import (SymplecticVector, from_pauli, sip_check,
                                symplectic_product, syndrome, to_pauli, weight)
 from qrstab.tables import ERRATA, TABLE_IV
 from qrstab.type1 import (Type1Spec, Type1Variant, build_type1, idempotents)
 from qrstab.type2 import (Layout, QcsSpec, QcsVariant, arrange,
-                          expected_component_rank, lift)
+                          expected_component_rank)
 
 QCS_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29]
 MINUS_PRIMES = [p for p in range(3, 201) if is_prime(p) and p % 4 == 3]
@@ -348,8 +348,8 @@ def test_c8_rank_identities():
     for p in MINUS_PRIMES:
         ctx = classify_prime(p)
         idem = idempotents(ctx)
-        r_res = circulant(idem.residues).rank()
-        r_comp = circulant(idem.residue_complement).rank()
+        r_res = lift(p, [[idem.residues]]).rank()
+        r_comp = lift(p, [[idem.residue_complement]]).rank()
         if ctx.n % 2 == 0:
             ok = r_res == p - ctx.k and r_comp == p - ctx.k - 1
         else:
@@ -363,8 +363,8 @@ def test_c8_complementarity():
     bad = []
     for p in MINUS_PRIMES:
         idem = idempotents(classify_prime(p))
-        if circulant(idem.residue_complement) + circulant(idem.residues) \
-                != Gf2Matrix.ones(p, p):
+        if lift(p, [[idem.residue_complement]]) + lift(p, [[idem.residues]]) \
+                != Gf2Matrix.from_dense(np.ones((p, p), dtype=np.uint8)):
             bad.append(p)
     check("C8", f"complementary circulants sum to all-ones (violations: {bad})",
           not bad)
@@ -374,8 +374,8 @@ def test_c8_squaring_identities():
     bad = []
     for p in PLUS_ODD_PRIMES:
         idem = idempotents(classify_prime(p))
-        h1 = circulant(idem.residues)
-        h2 = circulant(idem.nonresidues)
+        h1 = lift(p, [[idem.residues]])
+        h2 = lift(p, [[idem.nonresidues]])
         if h1 @ h1.transpose() != h2 or h2 @ h2.transpose() != h1:
             bad.append(p)
     check("C8", f"Gram squaring identities (violations: {bad})", not bad)
@@ -385,7 +385,7 @@ def test_c8_even_weight_row_spaces():
     bad = []
     for p in (5, 13):  # exhaustive below 17
         idem = idempotents(classify_prime(p))
-        res = circulant(idem.residues).rref()
+        res = lift(p, [[idem.residues]]).rref()
         basis = res.matrix.to_dense()[:len(res.pivot_cols)]
         weights = set()
         for mask in range(1, 1 << len(basis)):
@@ -399,7 +399,7 @@ def test_c8_even_weight_row_spaces():
     rng = np.random.default_rng(0)
     for p in (29, 37):  # sampled above 17
         idem = idempotents(classify_prime(p))
-        dense = circulant(idem.residues).to_dense()
+        dense = lift(p, [[idem.residues]]).to_dense()
         for _ in range(200):
             v = (rng.integers(0, 2, p, dtype=np.uint8) @ dense) % 2
             if int(v.sum()) % 2:
@@ -414,8 +414,9 @@ def test_c8_integer_identity(p):
     except the within-block diagonals, which are 0 (the all-ones factor in
     the source formula excludes the zero shift)."""
     ctx = classify_prime(p)
-    left_proto, right_proto = arrange(QcsSpec(ctx, QcsVariant.A, Layout.H1_ADJ2))
-    got = integer_product_sum(lift(left_proto), lift(right_proto))
+    a, b = (lift(p, proto.cells).to_dense().astype(np.int64)
+            for proto in arrange(QcsSpec(ctx, QcsVariant.A, Layout.H1_ADJ2)))
+    got = a @ b.T + b @ a.T
     expect = 2 * np.kron(np.ones((ctx.k, ctx.k), dtype=np.int64),
                          np.ones((p, p), dtype=np.int64) - np.eye(p, dtype=np.int64))
     check("C8", f"integer SIP identity p={p}", bool(np.array_equal(got, expect)))

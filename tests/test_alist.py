@@ -38,7 +38,7 @@ def test_zero_rows_and_columns_round_trip():
 
 
 def test_malformed_truncated():
-    good = export_alist(Gf2Matrix.identity(3))
+    good = export_alist(Gf2Matrix.from_dense(np.eye(3, dtype=np.uint8)))
     lines = good.splitlines()
     with pytest.raises(MalformedAlist) as err:
         import_alist("\n".join(lines[:4]))
@@ -52,7 +52,7 @@ def test_malformed_token():
 
 
 def test_malformed_weight_mismatch():
-    good = export_alist(Gf2Matrix.identity(2))
+    good = export_alist(Gf2Matrix.from_dense(np.eye(2, dtype=np.uint8)))
     lines = good.splitlines()
     lines[2] = "2 1"  # wrong row weight
     with pytest.raises(MalformedAlist):
@@ -60,7 +60,7 @@ def test_malformed_weight_mismatch():
 
 
 def test_malformed_column_inconsistency():
-    good = export_alist(Gf2Matrix.identity(2))
+    good = export_alist(Gf2Matrix.from_dense(np.eye(2, dtype=np.uint8)))
     lines = good.splitlines()
     lines[-1] = "1"  # column list now disagrees with rows
     with pytest.raises(MalformedAlist):

@@ -268,6 +268,15 @@ def test_distance_report(make_type1):
     assert rep.degenerate is False
 
 
+def test_distance_report_without_generators(make_qcs):
+    # every row of the [[10,10]] code removed: no stabilizer element to weigh
+    code = make_qcs(5, removed=tuple(range(1, 11)))
+    assert (code.m, code.k_logical) == (0, 10)
+    rep = distance_report(code, budget=1000)
+    assert rep.d_dagger is None and rep.degenerate is None
+    assert (rep.d_min.value, rep.d_min.tag) == (1, "exact")
+
+
 @pytest.mark.parametrize("p,k", [(13, 6), (29, 14)])
 def test_distance_upper_bounds_vs_set_size(p, k, make_type1):
     """For the [[p,1]] codes with n >= 3 the stabilizer minimum weight is at

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrstab.errors import ShapeMismatch
-from qrstab.gf2 import (Gf2Matrix, SupportPoly, circulant, cpm,
-                        integer_product_sum, row_reduce, support_poly, unpack)
+from qrstab.gf2 import Gf2Matrix, lift, row_reduce, unpack
 from qrstab.numtheory import classify_prime
 
 rng = np.random.default_rng(20240811)
@@ -45,55 +44,51 @@ def test_pack_round_trip_and_padding():
         assert not full[:, n:].any()
 
 
-def test_cpm_identity_and_shift():
-    assert cpm(3, 0) == Gf2Matrix.identity(3)
-    m = cpm(7, 2)
-    assert m.get(0, 2) == 1 and m.row_weights().tolist() == [1] * 7
-    assert cpm(5, 7) == cpm(5, 2)  # exponent reduction mod p
-
-
-def test_circulant_weights_and_shift_structure():
-    poly = support_poly(7, {0, 3, 5, 6})
-    m = circulant(poly)
-    assert m.row_weights().tolist() == [4] * 7
-    d = m.to_dense()
-    for i in range(1, 7):
-        assert np.array_equal(d[i], np.roll(d[i - 1], 1))
-    assert circulant(support_poly(5, ())).is_zero()
-    m13 = circulant(support_poly(13, {1, 3, 4, 9, 10, 12}))
-    assert m13.row_weights().tolist() == [6] * 13
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 11), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_lift_matches_entry_definition(p, n_rows, n_cols, data):
+    # entry (i*p + r, j*p + c) is the parity of #{d in cells[i][j] : r + d = c mod p}
+    cell = st.lists(st.integers(-2 * p, 2 * p), max_size=6)
+    cells = data.draw(st.lists(st.lists(cell, min_size=n_cols, max_size=n_cols),
+                               min_size=n_rows, max_size=n_rows))
+    expect = [[sum((r + d) % p == c for d in cells[i][j]) % 2
+               for j in range(n_cols) for c in range(p)]
+              for i in range(n_rows) for r in range(p)]
+    assert np.array_equal(lift(p, cells).to_dense(), np.array(expect, dtype=np.uint8))
+    assert not lift(5, [[[2, 7]]]).to_dense().any()  # 7 = 2 mod 5: a repeat cancels
 
 
 def test_rank_examples():
     ctx = classify_prime(7)
-    q_bar = circulant(support_poly(7, (0, *ctx.qnr)))
-    q = circulant(support_poly(7, ctx.qr))
+    q_bar = lift(7, [[(0, *ctx.qnr)]])
+    q = lift(7, [[ctx.qr]])
     assert q_bar.rank() == 3
     assert q.rank() == 4
     ctx13 = classify_prime(13)
-    assert circulant(support_poly(13, ctx13.qr)).rank() == 12
+    assert lift(13, [[ctx13.qr]]).rank() == 12
 
 
 def test_rref_identity_and_all_ones():
-    res = Gf2Matrix.identity(4).rref()
-    assert res.matrix == Gf2Matrix.identity(4)
+    eye = Gf2Matrix.from_dense(np.eye(4, dtype=np.uint8))
+    res = eye.rref()
+    assert res.matrix == eye
     assert res.pivot_cols == (0, 1, 2, 3)
-    ones = Gf2Matrix.ones(3, 3).rref()
+    ones = Gf2Matrix.from_dense(np.ones((3, 3), dtype=np.uint8)).rref()
     assert len(ones.pivot_cols) == 1
     assert ones.matrix.row_weights().tolist() == [3, 0, 0]
 
 
 def test_rref_joint_pair_rank():
     ctx = classify_prime(7)
-    joint = circulant(support_poly(7, (0, *ctx.qnr))).hstack(
-        circulant(support_poly(7, ctx.qr)))
+    joint = lift(7, [[(0, *ctx.qnr), ctx.qr]])
     res = joint.rref()
     assert len(res.pivot_cols) == 4 == joint.rank()
     assert len(res.independent_rows) == 4
 
 
 def test_independent_row_subset():
-    assert Gf2Matrix.identity(5).independent_row_subset() == [0, 1, 2, 3, 4]
+    eye = Gf2Matrix.from_dense(np.eye(5, dtype=np.uint8))
+    assert eye.independent_row_subset() == [0, 1, 2, 3, 4]
     two_equal = Gf2Matrix.from_dense([[1, 0, 1], [1, 0, 1]])
     assert two_equal.independent_row_subset() == [0]
 
@@ -178,17 +173,14 @@ def test_matmul_matches_numpy():
     got = (Gf2Matrix.from_dense(a) @ Gf2Matrix.from_dense(b)).to_dense()
     assert np.array_equal(got, (a.astype(int) @ b.astype(int)) % 2)
     with pytest.raises(ShapeMismatch):
-        Gf2Matrix.identity(3) @ Gf2Matrix.identity(4)
+        Gf2Matrix.zeros(3, 3) @ Gf2Matrix.zeros(4, 4)
 
 
-def test_add_and_integer_product():
+def test_add_is_xor():
     a = random_dense(6, 6)
     b = random_dense(6, 6)
     s = Gf2Matrix.from_dense(a) + Gf2Matrix.from_dense(b)
     assert np.array_equal(s.to_dense(), a ^ b)
-    ints = integer_product_sum(Gf2Matrix.from_dense(a), Gf2Matrix.from_dense(b))
-    expect = a.astype(int) @ b.T.astype(int) + b.astype(int) @ a.T.astype(int)
-    assert np.array_equal(ints, expect)
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,28 +206,24 @@ def test_in_row_space_matches_rank_oracle(m, rank_cap, n, data):
 @given(st.integers(3, 31).filter(lambda p: p in {3, 5, 7, 11, 13, 17, 19, 23, 29, 31}),
        st.data())
 def test_circulant_polynomial_homomorphism(p, data):
-    sup_f = data.draw(st.sets(st.integers(0, p - 1), max_size=p))
-    sup_g = data.draw(st.sets(st.integers(0, p - 1), max_size=p))
-    f, g = support_poly(p, sup_f), support_poly(p, sup_g)
-    assert circulant(f) @ circulant(g) == circulant(f * g)
+    f = data.draw(st.lists(st.integers(-2 * p, 2 * p), max_size=p))
+    g = data.draw(st.lists(st.integers(-2 * p, 2 * p), max_size=p))
+    assert lift(p, [[f]]) @ lift(p, [[g]]) == lift(p, [[[a + b for a in f for b in g]]])
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([5, 7, 11, 13]), st.data())
 def test_circulant_transpose_is_reciprocal(p, data):
-    sup = data.draw(st.sets(st.integers(0, p - 1), max_size=p))
-    f = support_poly(p, sup)
-    assert circulant(f).transpose() == circulant(f.reciprocal())
+    f = data.draw(st.lists(st.integers(-2 * p, 2 * p), max_size=p))
+    assert lift(p, [[f]]).transpose() == lift(p, [[[-d for d in f]]])
 
 
-def test_support_poly_ops():
-    f = support_poly(7, {1, 2})
-    g = support_poly(7, {0, 2})
-    assert (f + g).support == frozenset({0, 1})
+def test_exponent_list_arithmetic():
+    f, g = lift(7, [[[1, 2]]]), lift(7, [[[0, 2]]])
+    assert f + g == lift(7, [[[0, 1]]])
     # (x + x^2)(1 + x^2) = x + x^2 + x^3 + x^4
-    assert (f * g).support == frozenset({1, 2, 3, 4})
-    assert f.reciprocal().support == frozenset({5, 6})
-    assert SupportPoly(5, frozenset({7})).support == frozenset({2})
+    assert f @ g == lift(7, [[[1, 2, 3, 4]]])
+    assert f.transpose() == lift(7, [[[5, 6]]])
 
 
 def test_take_rows_and_hstack():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrstab.errors import InvalidSymbol, LengthMismatch, ShapeMismatch
-from qrstab.gf2 import Gf2Matrix, circulant, cpm, support_poly
+from qrstab.gf2 import Gf2Matrix, lift
 from qrstab.numtheory import classify_prime
 from qrstab.symplectic import (SymplecticVector, from_pauli, sip_check,
                                symplectic_product, syndrome, to_pauli, weight)
@@ -73,8 +73,7 @@ def test_weight_subadditive(s):
 
 def _type1_pair(p):
     ctx = classify_prime(p)
-    return (circulant(support_poly(p, (0, *ctx.qnr))),
-            circulant(support_poly(p, ctx.qr)))
+    return lift(p, [[(0, *ctx.qnr)]]), lift(p, [[ctx.qr]])
 
 
 def test_sip_check_examples():
@@ -83,9 +82,9 @@ def test_sip_check_examples():
     rng = np.random.default_rng(7)
     a = Gf2Matrix.from_dense(rng.integers(0, 2, (6, 6), dtype=np.uint8))
     assert sip_check(a, a)
-    assert not sip_check(Gf2Matrix.identity(5), cpm(5, 1))
+    assert not sip_check(lift(5, [[[0]]]), lift(5, [[[1]]]))
     with pytest.raises(ShapeMismatch):
-        sip_check(Gf2Matrix.identity(3), Gf2Matrix.identity(4))
+        sip_check(Gf2Matrix.zeros(3, 3), Gf2Matrix.zeros(4, 4))
 
 
 def test_sip_check_equals_exhaustive_row_pairs():

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from qrstab.errors import DependentRows, RowIndexOutOfRange, WrongForm
-from qrstab.gf2 import cpm, integer_product_sum
+from qrstab.gf2 import lift
 from qrstab.numtheory import classify_prime
-from qrstab.type2 import (Layout, ProtoMatrix, QcsSpec, QcsVariant, arrange,
+from qrstab.type2 import (Layout, QcsSpec, QcsVariant, arrange,
                           build_proto_qcs_a, build_proto_qcs_b, build_qcs,
-                          default_removal, expected_component_rank, lift)
+                          default_removal, expected_component_rank)
 
 QCS_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29]
 
@@ -75,28 +75,24 @@ def test_lift_blocks_p7():
     ctx = classify_prime(7)
     spec = QcsSpec(ctx, QcsVariant.A, Layout.H1_ADJ2)
     left_proto, right_proto = arrange(spec)
-    left, right = lift(left_proto), lift(right_proto)
+    left, right = lift(7, left_proto.cells), lift(7, right_proto.cells)
     ld, rd = left.to_dense(), right.to_dense()
     expected_left = [[2, 4, 1], [4, 1, 2], [1, 2, 4]]
     for i in range(3):
         for j in range(3):
             blk = ld[7 * i:7 * (i + 1), 7 * j:7 * (j + 1)]
-            assert np.array_equal(blk, cpm(7, expected_left[i][j]).to_dense())
+            assert np.array_equal(blk, lift(7, [[[expected_left[i][j]]]]).to_dense())
     blk = rd[:7, :7]
-    assert np.array_equal(blk, (cpm(7, 0) + cpm(7, 5)).to_dense())
+    assert np.array_equal(blk, lift(7, [[[0, 5]]]).to_dense())
     assert left.row_weights().tolist() == [3] * 21
     assert right.row_weights().tolist() == [6] * 21
 
 
 def test_lift_empty_cell_is_zero_block():
-    proto = ProtoMatrix(3, 2, (
-        (frozenset({1}), frozenset()),
-        (frozenset(), frozenset({0, 2})),
-    ))
-    dense = lift(proto).to_dense()
+    dense = lift(3, [[[1], []], [[], [0, 2]]]).to_dense()
     assert not dense[:3, 3:].any()
     assert not dense[3:, :3].any()
-    assert np.array_equal(dense[3:, 3:], (cpm(3, 0) + cpm(3, 2)).to_dense())
+    assert np.array_equal(dense[3:, 3:], lift(3, [[[0, 2]]]).to_dense())
 
 
 @pytest.mark.parametrize("p", QCS_PRIMES)
@@ -107,7 +103,7 @@ def test_component_ranks_and_relation(p):
     for layout in (Layout if variant is QcsVariant.A else [Layout.H1_ADJ2]):
         spec = QcsSpec(ctx, variant, layout)
         left_proto, right_proto = arrange(spec)
-        left, right = lift(left_proto), lift(right_proto)
+        left, right = lift(p, left_proto.cells), lift(p, right_proto.cells)
         # "h1-adj2" and "h2-adj1" keep the plain half on the left
         plain, adjunct = (left, right) if layout.value.startswith("h") else (right, left)
         if variant is QcsVariant.A:
@@ -176,9 +172,8 @@ def test_integer_commutation_identity(p):
     within-block diagonals, which vanish: 2 * (J_k (x) (J_p - I_p))."""
     ctx = classify_prime(p)
     spec = QcsSpec(ctx, QcsVariant.A, Layout.H1_ADJ2)
-    left_proto, right_proto = arrange(spec)
-    left, right = lift(left_proto), lift(right_proto)
-    got = integer_product_sum(left, right)
+    a, b = (lift(p, proto.cells).to_dense().astype(np.int64) for proto in arrange(spec))
+    got = a @ b.T + b @ a.T
     k = ctx.k
     expect = 2 * np.kron(np.ones((k, k), dtype=np.int64),
                          np.ones((p, p), dtype=np.int64) - np.eye(p, dtype=np.int64))
