@@ -44,6 +44,24 @@ def test_pack_round_trip_and_padding():
         assert not full[:, n:].any()
 
 
+def test_cpm_identity_and_shift():
+    assert np.array_equal(lift(3, [[[0]]]).to_dense(), np.eye(3, dtype=np.uint8))
+    m = lift(7, [[[2]]])
+    assert m.get(0, 2) == 1 and m.row_weights().tolist() == [1] * 7
+    assert lift(5, [[[7]]]) == lift(5, [[[2]]])  # exponent reduction mod p
+
+
+def test_circulant_weights_and_shift_structure():
+    m = lift(7, [[[0, 3, 5, 6]]])
+    assert m.row_weights().tolist() == [4] * 7
+    d = m.to_dense()
+    for i in range(1, 7):
+        assert np.array_equal(d[i], np.roll(d[i - 1], 1))
+    assert not lift(5, [[[]]]).to_dense().any()
+    m13 = lift(13, [[[1, 3, 4, 9, 10, 12]]])
+    assert m13.row_weights().tolist() == [6] * 13
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 11), st.integers(1, 3), st.integers(1, 3), st.data())
 def test_lift_matches_entry_definition(p, n_rows, n_cols, data):
