@@ -17,30 +17,26 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MalformedAlist
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Matrix, row_supports
 
 
 def export_alist(matrix: Gf2Matrix) -> str:
     dense = matrix.to_dense()
     rows, cols = dense.shape
-    row_idx = [np.nonzero(dense[i])[0] + 1 for i in range(rows)]
-    col_idx = [np.nonzero(dense[:, j])[0] + 1 for j in range(cols)]
-    max_rw = max((len(r) for r in row_idx), default=0)
-    max_cw = max((len(c) for c in col_idx), default=0)
+    row_idx, row_w = row_supports(dense, -1)
+    col_idx, col_w = row_supports(dense.T, -1)
+    names = [str(i) for i in range(max(rows, cols) + 1)]
 
-    def padded(indices, width):
-        vals = list(map(str, indices)) + ["0"] * (width - len(indices))
-        return " ".join(vals)
+    def lines_of(grid):  # 1-based, so the -1 padding prints as 0
+        return [" ".join([names[v] for v in line]) for line in (grid + 1).tolist()]
 
     lines = [
         f"{rows} {cols}",
-        f"{max_rw} {max_cw}",
-        " ".join(str(len(r)) for r in row_idx),
-        " ".join(str(len(c)) for c in col_idx),
+        f"{row_idx.shape[1]} {col_idx.shape[1]}",
+        " ".join(names[w] for w in row_w.tolist()),
+        " ".join(names[w] for w in col_w.tolist()),
     ]
-    lines += [padded(r, max_rw) for r in row_idx]
-    lines += [padded(c, max_cw) for c in col_idx]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + lines_of(row_idx) + lines_of(col_idx)) + "\n"
 
 
 def import_alist(text: str) -> Gf2Matrix:

@@ -50,8 +50,8 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("--p", type=int, required=True)
     b.add_argument("--variant",
                    choices=[v.value for v in Type1Variant] + [v.value for v in QcsVariant])
-    b.add_argument("--layout", choices=[l.value for l in Layout],
-                   default=Layout.H1_ADJ2.value)
+    b.add_argument("--layout", choices=[l.value for l in Layout], default=None,
+                   help=f"type 2 variant A only (default {Layout.H1_ADJ2.value})")
     b.add_argument("--remove", type=_parse_rows, default=None,
                    help="1-based rows to remove (type 2); omit for the stock policy")
     b.add_argument("--rows", type=_parse_rows, default=None,
@@ -92,6 +92,8 @@ def _build_code(args):
     if args.variant and args.variant not in valid:
         raise QrstabError(f"--type {args.code_type} variants are {', '.join(valid)}")
     if args.code_type == 1:
+        if args.layout:
+            raise QrstabError("--layout applies to --type 2 variant A only")
         if args.remove:
             raise QrstabError("--remove applies to --type 2 only (use --rows)")
         variant = (Type1Variant(args.variant) if args.variant
@@ -102,7 +104,10 @@ def _build_code(args):
         raise QrstabError("--rows applies to --type 1 only (use --remove)")
     variant = (QcsVariant(args.variant) if args.variant
                else (QcsVariant.A if ctx.p % 4 == 3 else QcsVariant.B))
-    return build_qcs(QcsSpec(ctx, variant, Layout(args.layout), args.remove))
+    if args.layout and variant is QcsVariant.B:
+        raise QrstabError("--layout applies to --type 2 variant A only")
+    layout = Layout(args.layout) if args.layout else Layout.H1_ADJ2
+    return build_qcs(QcsSpec(ctx, variant, layout, args.remove))
 
 
 def _write(payload: str, out: str | None) -> int:

@@ -4,7 +4,8 @@ Rows are stored as little-endian uint64 words, so elimination works a word
 at a time.  ``row_reduce`` is the one elimination routine: rank, RREF,
 independent rows, row-space membership, the standard form and the
 information-set searches run on it.  It takes one matrix or a stack of
-them, so a search eliminates many rounds in one call.  Matrices are
+them, so a search eliminates many rounds in one call.  The product XORs
+packed rows; no operation goes through floating point.  Matrices are
 immutable from the outside: every operation returns a fresh instance and
 never mutates its inputs, so each matrix caches its RREF.
 """
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import ShapeMismatch
 
 WORD = 64
+_GATHER_WORDS = 1 << 20  # bound on the words one chunk of a product gathers
 
 
 def _n_words(cols: int) -> int:
@@ -38,6 +40,17 @@ def unpack(words: np.ndarray, cols: int) -> np.ndarray:
     """(m, words) uint64 -> (m, cols) 0/1 uint8; the inverse of ``pack``."""
     bits = np.unpackbits(np.atleast_2d(words).view(np.uint8), axis=1, bitorder="little")
     return bits[:, :cols].copy()
+
+
+def row_supports(dense: np.ndarray, fill: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column indices of the ones in each row of a 2-D 0/1 array, increasing
+    and padded with ``fill`` to the largest row weight, as one (rows, width)
+    int64 grid; and the row weights."""
+    rows, cols = np.nonzero(dense)
+    weights = np.bincount(rows, minlength=dense.shape[0])
+    grid = np.full((dense.shape[0], int(weights.max(initial=0))), fill, dtype=np.int64)
+    grid[rows, np.arange(len(rows)) - (np.cumsum(weights) - weights)[rows]] = cols
+    return grid, weights
 
 
 def row_reduce(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,13 +166,29 @@ class Gf2Matrix:
         return Gf2Matrix(self.rows, self.cols, self._words ^ other._words)
 
     def __matmul__(self, other: "Gf2Matrix") -> "Gf2Matrix":
-        """Product over GF(2): one float64 product of the dense operands,
-        reduced mod 2.  Every entry is an integer at most the inner dimension,
-        which float64 holds exactly while that dimension is below 2^53."""
+        """Product over GF(2) on packed words: row i is the XOR of the rows
+        of ``other`` at the ones of row i of ``self``.
+
+        The rows are gathered through one index array, padded with an
+        appended all-zero row, and folded by one XOR reduction per chunk of
+        at most about ``_GATHER_WORDS`` gathered words.  For largest row
+        weight w of ``self`` the cost is rows * w * words(other.cols) word
+        operations.
+        """
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        prod = self.to_dense().astype(np.float64) @ other.to_dense().astype(np.float64)
-        return Gf2Matrix.from_dense(prod % 2)
+        n_words = other._words.shape[1]
+        out = np.zeros((self.rows, n_words), dtype=np.uint64)
+        idx, _ = row_supports(unpack(self._words, self.cols), other.rows)
+        width = idx.shape[1]
+        padded = np.vstack([other._words, np.zeros((1, n_words), dtype=np.uint64)])
+        step = max(1, _GATHER_WORDS // max(1, n_words))  # indices per chunk
+        per = max(1, step // max(1, width))  # rows per chunk; 1 when one row exceeds step
+        for lo in range(0, self.rows, per):
+            for at in range(0, width, step):
+                out[lo:lo + per] ^= np.bitwise_xor.reduce(
+                    padded[idx[lo:lo + per, at:at + step]], axis=1)
+        return Gf2Matrix(self.rows, other.cols, out)
 
     def transpose(self) -> "Gf2Matrix":
         return Gf2Matrix.from_dense(self.to_dense().T)

@@ -15,7 +15,7 @@ from .analysis import DistanceValue
 from .code import StabilizerCode
 from .errors import MalformedRecord
 from .gf2 import Gf2Matrix
-from .symplectic import SymplecticVector, from_pauli, to_pauli
+from .symplectic import _SYMBOL_BYTES, from_pauli, to_pauli
 
 SCHEMA_VERSION = 1
 
@@ -98,10 +98,9 @@ def make_record(code: StabilizerCode, name: str,
                 degenerate: bool | None = None) -> CodeRecord:
     sf = code.standard_form
     n = code.n_qubits
-    gens = []
     dense = code.h.to_dense()
-    for row in dense:
-        gens.append(to_pauli(SymplecticVector(row[:n], row[n:])))
+    text = _SYMBOL_BYTES[dense[:, :n] + 2 * dense[:, n:]].tobytes().decode()
+    gens = [text[i:i + n] for i in range(0, len(text), n)]
     prov = dict(code.provenance)
     return CodeRecord(
         schema_version=SCHEMA_VERSION,

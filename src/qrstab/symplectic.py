@@ -84,11 +84,12 @@ def from_pauli(s: str) -> SymplecticVector:
 
 
 def sip_check(h1: Gf2Matrix, h2: Gf2Matrix) -> bool:
-    """True iff H1 @ H2.T + H2 @ H1.T = 0 (mod 2), computed exactly.
+    """True iff H1 @ H2.T + H2 @ H1.T = 0 (mod 2).
 
     This is the pairwise-commutation condition on the rows of [H1 | H2].
     With G = H1 @ H2.T the second term is G.T, so the condition is that G
-    is symmetric.
+    is symmetric.  G is the packed GF(2) product: for m rows of weight w in
+    H1, m * w * words(m) word XORs.
     """
     if h1.shape != h2.shape:
         raise ShapeMismatch(f"halves differ in shape: {h1.shape} vs {h2.shape}")

@@ -303,6 +303,8 @@ def test_bounds_check(capsys):
     "build --type 2 --p 13 --variant plus-form",
     "build --type 1 --p 7 --distance bound --budget -5",
     "build --type 1 --p 7 --distance bound --budget 0",
+    "build --type 1 --p 7 --layout adj2-h1",
+    "build --type 2 --p 5 --variant B --layout adj1-h2",
     "qrset 1048583",
 ])
 def test_bad_input_is_a_one_line_error(capsys, argv):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrstab import gf2
 from qrstab.errors import ShapeMismatch
 from qrstab.gf2 import Gf2Matrix, lift, row_reduce, unpack
 from qrstab.numtheory import classify_prime
@@ -185,13 +188,40 @@ def test_stacked_row_reduce_matches_each_matrix(n_mats, n_rows, n_words, data):
         assert (pivots[b, rank:] == -1).all() and (sources[b, rank:] == -1).all()
 
 
-def test_matmul_matches_numpy():
-    a = random_dense(13, 37)
-    b = random_dense(37, 11)
-    got = (Gf2Matrix.from_dense(a) @ Gf2Matrix.from_dense(b)).to_dense()
-    assert np.array_equal(got, (a.astype(int) @ b.astype(int)) % 2)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 200), st.integers(0, 200), st.integers(0, 200), st.data())
+def test_matmul_matches_numpy(m, k, n, data):
+    # shapes cross 64-bit word boundaries; each row of a draws its own
+    # density, so all-zero, sparse, half-full and all-one rows mix
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    density = gen.choice([0.0, 0.02, 0.5, 1.0], size=(m, 1))
+    a = (gen.random((m, k)) < density).astype(np.uint8)
+    b = gen.integers(0, 2, (k, n), dtype=np.uint8)
+    got = Gf2Matrix.from_dense(a) @ Gf2Matrix.from_dense(b)
+    assert got.shape == (m, n)
+    assert np.array_equal(got.to_dense(), (a.astype(int) @ b.astype(int)) % 2)
     with pytest.raises(ShapeMismatch):
         Gf2Matrix.zeros(3, 3) @ Gf2Matrix.zeros(4, 4)
+
+
+@pytest.mark.parametrize("m,k,bound", [
+    (150, 150, 2**14),  # a few rows per chunk
+    (20, 300, 2**10),   # one row's gather alone exceeds the bound
+])
+def test_matmul_gathers_in_bounded_chunks(monkeypatch, m, k, bound):
+    monkeypatch.setattr(gf2, "_GATHER_WORDS", bound)
+    a = np.ones((m, k), dtype=np.uint8)
+    b = random_dense(k, 40 * 64)
+    ma, mb = Gf2Matrix.from_dense(a), Gf2Matrix.from_dense(b)
+    tracemalloc.start()
+    try:
+        got = ma @ mb
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got.to_dense(), (a.astype(int) @ b.astype(int)) % 2)
+    # an unchunked gather alone would hold m * k * 40 words of 8 bytes
+    assert peak < m * k * 40 * 8 // 4
 
 
 def test_add_is_xor():

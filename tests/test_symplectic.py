@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from qrstab.errors import InvalidSymbol, LengthMismatch, ShapeMismatch
 from qrstab.gf2 import Gf2Matrix, lift
-from qrstab.numtheory import classify_prime
+from qrstab.numtheory import classify_prime, is_prime
 from qrstab.symplectic import (SymplecticVector, from_pauli, sip_check,
                                symplectic_product, syndrome, to_pauli, weight)
+from qrstab.type1 import Type1Spec, default_variant, half_polys
+from qrstab.type2 import Layout, QcsSpec, QcsVariant, arrange
 
 pauli_strings = st.text(alphabet="IXYZ", min_size=1, max_size=24)
 
@@ -98,6 +100,47 @@ def test_sip_check_equals_exhaustive_row_pairs():
                                SymplecticVector(h1[j], h2[j])) == 0
             for i in range(4) for j in range(4))
         assert sip_check(Gf2Matrix.from_dense(h1), Gf2Matrix.from_dense(h2)) == pairwise
+
+
+def _stock_halves():
+    """(id, h1, h2): the lifted halves of every stock QCS code for p <= 37,
+    of the four variant-A layouts at p = 23, and of every default Type-I
+    code for p <= 101."""
+    cases = []
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        ctx = classify_prime(p)
+        variant = QcsVariant.A if p % 4 == 3 else QcsVariant.B
+        for layout in (Layout if p == 23 else [Layout.H1_ADJ2]):
+            left, right = arrange(QcsSpec(ctx, variant, layout))
+            cases.append((f"qcs-{p}-{variant.value}-{layout.value}",
+                          lift(p, left.cells), lift(p, right.cells)))
+    for p in range(3, 102):
+        if is_prime(p) and (p % 4 == 3 or (p - 1) // 4 % 2 == 1):
+            ctx = classify_prime(p)
+            left, right = half_polys(Type1Spec(ctx, default_variant(ctx)))
+            cases.append((f"type1-{p}", lift(p, [[left]]), lift(p, [[right]])))
+    return cases
+
+
+STOCK_HALVES = _stock_halves()
+
+
+def _flip(m, i, j):
+    dense = m.to_dense()
+    dense[i, j] ^= 1
+    return Gf2Matrix.from_dense(dense)
+
+
+@pytest.mark.parametrize("h1,h2", [c[1:] for c in STOCK_HALVES],
+                         ids=[c[0] for c in STOCK_HALVES])
+def test_sip_check_on_stock_halves(h1, h2):
+    assert sip_check(h1, h2)
+    if h1.cols > 64:
+        # every column of either half has weight >= 2, so one flipped bit
+        # changes an off-diagonal entry of G and not its mirror
+        i, j = h1.rows // 2, h1.cols - 1  # a bit of the last word
+        assert not sip_check(_flip(h1, i, j), h2)
+        assert not sip_check(h1, _flip(h2, i, j))
 
 
 def test_syndrome_single_y_errors(make_type1):
